@@ -273,13 +273,13 @@ def cmd_sweep(args) -> int:
         for degree in degrees:
             n = degree // 2 + 1
             ex = exact_ratios(q, n)
+            gen = ratio_approximations(ex.m, n)
             if n == 1:
                 ma = moving_average_ratio_approximations(q)
                 ap_r, ap_s02 = ma.r0_over_r2, ma.s0_over_s2
             else:
-                gen = ratio_approximations(ex.m, n)
                 ap_r, ap_s02 = gen.r0_over_r2, gen.s0_over_s2
-            ap_s01 = ratio_approximations(ex.m, n).s0_over_s1
+            ap_s01 = gen.s0_over_s1
             shared = {
                 "r0_over_r2": ex.r0_over_r2,
                 "s0_over_s2": ex.s0_over_s2,
@@ -342,8 +342,6 @@ def cmd_verify(args) -> int:
                 continue  # the injected vector only applies to its own window
             weight = custom
         for n in range(1, min(args.max_degree + 1, m - 1) + 1):
-            if n >= m:
-                break
             reports.append(certify(q, n, seed=args.seed, weight=weight))
     if not reports:
         raise ValueError("verification grid is empty; raise --max-window or --max-degree")
@@ -402,9 +400,9 @@ def cmd_verify(args) -> int:
 def cmd_smooth(args) -> int:
     try:
         with open(args.input, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            fieldnames = reader.fieldnames
-            rows = list(reader)
+            reader = csv.reader(fh)
+            fieldnames = next(reader, None)
+            rows = [row for row in reader if row]
     except OSError as exc:
         raise ValueError(f"cannot read input: {exc}") from None
     if not fieldnames:
@@ -414,15 +412,21 @@ def cmd_smooth(args) -> int:
     if not rows:
         raise ValueError(f"input {args.input} has no data rows")
 
-    values = []
-    for i, row in enumerate(rows, start=1):
-        cell = row[args.column]
+    col = fieldnames.index(args.column)
+    width = len(fieldnames)
+    values = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        if len(row) > width:
+            raise ValueError(f"row {i + 1}: {len(row)} fields, header has {width}")
+        cell = row[col] if col < len(row) else None
         try:
-            values.append(float(cell))
+            values[i] = float(cell)
         except (TypeError, ValueError):
             raise RuntimeError(
-                f"row {i}: non-numeric value {cell!r} in column {args.column!r}"
+                f"row {i + 1}: non-numeric value {cell!r} in column {args.column!r}"
             ) from None
+        # short rows are written back padded with empty cells
+        row.extend([""] * (width - len(row)))
 
     if args.coeff_file:
         coeffs = _load_coefficient_document(args.coeff_file)
@@ -433,20 +437,16 @@ def cmd_smooth(args) -> int:
     signal = SignalSeries.from_iterable(values)
     result = smooth(signal, coeffs, edge=args.edge)
 
-    out_column = f"{args.column}_smoothed"
+    # tolist() gives Python floats, whose repr is the shortest round trip.
+    smoothed = list(map(repr, result.values.tolist()))
     if args.edge == "valid":
         offset = coeffs.spec.evaluation_index - 1
-        smoothed = [""] * len(rows)
-        for k, v in enumerate(result.values):
-            smoothed[offset + k] = repr(v)
-    else:
-        smoothed = [repr(v) for v in result.values]
+        smoothed = [""] * offset + smoothed + [""] * (len(rows) - offset - len(smoothed))
 
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(fieldnames) + [out_column])
-    writer.writeheader()
-    for row, sm in zip(rows, smoothed):
-        writer.writerow({**row, out_column: sm})
+    writer = csv.writer(buf)
+    writer.writerow(fieldnames + [f"{args.column}_smoothed"])
+    writer.writerows(row + [sm] for row, sm in zip(rows, smoothed))
     _emit(buf.getvalue(), args.output)
     return 0
 

@@ -240,13 +240,17 @@ def build_orthonormal_basis(spec: FilterSpec) -> BasisMatrix:
 
 
 def _solve_spd(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve g x = rhs for symmetric positive definite g via Cholesky."""
+    """Solve g x = rhs for symmetric positive definite g via Cholesky.
+
+    rhs is one vector, or a matrix whose columns are solved together
+    from the one factorization.
+    """
     lo = np.linalg.cholesky(g)
     n = lo.shape[0]
-    y = np.empty(n)
+    y = np.empty(rhs.shape)
     for i in range(n):
         y[i] = (rhs[i] - lo[i, :i] @ y[:i]) / lo[i, i]
-    x = np.empty(n)
+    x = np.empty(rhs.shape)
     for i in range(n - 1, -1, -1):
         x[i] = (y[i] - lo[i + 1 :, i] @ x[i + 1 :]) / lo[i, i]
     return x
@@ -274,6 +278,44 @@ def design_coefficients(spec: FilterSpec) -> FilterCoefficients:
     b = _solve_spd(g, rhs)
     c = w * (x @ b)
     return FilterCoefficients(tuple(float(v) for v in c), spec)
+
+
+def edge_taps(spec: FilterSpec) -> np.ndarray:
+    """Off-center taps for every edge position of a centered spec.
+
+    Row k holds the taps that evaluate, at index j = k + 1 (first m-1
+    rows) or j = k + 2 (last m-1 rows), the same weighted fit of degree
+    spec.degree over the same window: what :func:`design_coefficients`
+    returns for the spec shifted to j.  All 2(m-1) rows are rows of one
+    hat matrix, so they come from one Cholesky factorization of the
+    normal matrix, solved for all evaluation points at once.  The basis
+    is every power 0..degree of the window abscissa scaled to [-1, 1].
+
+    Raises:
+        ValueError: for a spec that is not center-evaluated, when the
+            off-center fit has more columns than the window has samples,
+            or when a row does not sum to one within DC_GAIN_TOL.
+        numpy.linalg.LinAlgError: if the normal matrix is not positive
+            definite, as in :func:`design_coefficients`.
+    """
+    if not spec.is_centered:
+        raise ValueError("edge taps need a center-evaluated filter")
+    q, m = spec.q, spec.m
+    if q == 1:
+        return np.empty((0, 1))
+    n = spec.degree + 1
+    if n > q:
+        raise ValueError(f"{n} basis columns exceed window length {q}")
+    x = np.vander((np.arange(1.0, q + 1) - m) / (m - 1), n, increasing=True)
+    wx = spec.weight.as_array()[:, None] * x
+    edges = np.r_[0 : m - 1, m:q]
+    taps = (wx @ _solve_spd(x.T @ wx, x[edges].T)).T
+    sums = taps.sum(axis=1)
+    off = np.abs(sums - 1.0) > DC_GAIN_TOL
+    if off.any():
+        k = int(np.argmax(off))
+        raise ValueError(f"taps must sum to 1, got {float(sums[k])!r} at j={edges[k] + 1}")
+    return taps
 
 
 def design_via_orthonormal_basis(spec: FilterSpec) -> FilterCoefficients:

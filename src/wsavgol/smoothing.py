@@ -2,53 +2,55 @@
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .design import FilterCoefficients, FilterSpec, design_coefficients
+# design_coefficients is re-exported: callers look it up on this module.
+from .design import FilterCoefficients, design_coefficients, edge_taps  # noqa: F401
 
 EDGE_POLICIES = ("valid", "mirror", "polyfit")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalSeries:
     """A finite record of signal samples, optionally with an abscissa.
 
-    Non-finite samples are rejected on construction so the convolution
+    The samples are copied once, on construction, into a read-only
+    float64 array.  Non-finite samples are rejected so the convolution
     contract stays exact.
     """
 
-    values: tuple[float, ...]
+    values: np.ndarray
     abscissa: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if len(self.values) < 1:
+        arr = np.array(self.values, dtype=float)
+        if arr.ndim != 1:
+            raise ValueError("signal must be a one-dimensional sequence of samples")
+        if arr.size < 1:
             raise ValueError("signal must contain at least one sample")
-        arr = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("signal contains NaN or infinite samples")
-        if self.abscissa is not None and len(self.abscissa) != len(self.values):
+        if self.abscissa is not None and len(self.abscissa) != arr.size:
             raise ValueError("abscissa length does not match the signal")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     @classmethod
     def from_iterable(cls, values, abscissa=None) -> "SignalSeries":
+        if not isinstance(values, np.ndarray):
+            values = list(values)
         absc = None if abscissa is None else tuple(float(a) for a in abscissa)
-        return cls(tuple(float(v) for v in values), absc)
+        return cls(values, absc)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.values.size
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-
-def _edge_refit(spec: FilterSpec, j: int) -> np.ndarray:
-    """Off-center taps at evaluation index j, same window/degree/weights."""
-    shifted = FilterSpec(q=spec.q, degree=spec.degree, weight=spec.weight, j=j)
-    return design_coefficients(shifted).as_array()
+        return self.values
 
 
 def smooth(signal: SignalSeries, coeffs: FilterCoefficients, edge: str = "polyfit") -> SignalSeries:
@@ -59,8 +61,9 @@ def smooth(signal: SignalSeries, coeffs: FilterCoefficients, edge: str = "polyfi
 
       valid    drop edge positions; output has length L - q + 1.
       mirror   reflect the signal about its endpoints, output length L.
-      polyfit  re-design off-center taps for each edge position (same
-               window, degree and weights), output length L.
+      polyfit  apply off-center taps at each edge position (same window,
+               degree and weights, all from one factorization by
+               :func:`~wsavgol.design.edge_taps`), output length L.
 
     mirror and polyfit assume a center-evaluated filter.
     """
@@ -82,7 +85,7 @@ def smooth(signal: SignalSeries, coeffs: FilterCoefficients, edge: str = "polyfi
         if signal.abscissa is not None:
             j0 = spec.evaluation_index - 1
             absc = signal.abscissa[j0 : j0 + out.size]
-        return SignalSeries(tuple(float(v) for v in out), absc)
+        return SignalSeries(out, absc)
 
     if not spec.is_centered:
         raise ValueError(f"edge policy {edge!r} needs a center-evaluated filter")
@@ -95,22 +98,20 @@ def smooth(signal: SignalSeries, coeffs: FilterCoefficients, edge: str = "polyfi
             )
         padded = np.pad(y, (m - 1, m - 1), mode="reflect")
         out = np.convolve(padded, taps[::-1], mode="valid")
-        return SignalSeries(tuple(float(v) for v in out), signal.abscissa)
+        return SignalSeries(out, signal.abscissa)
 
-    # polyfit: interior by convolution, edges by off-center refits on the
+    # polyfit: interior by convolution, edges by off-center taps on the
     # first and last full windows.
     if length < q:
         raise ValueError(
             f"insufficient data: polyfit edges need at least {q} samples"
         )
+    edges = edge_taps(spec)
     out = np.empty(length)
+    out[: m - 1] = edges[: m - 1] @ y[:q]
     out[m - 1 : length - (m - 1)] = np.convolve(y, taps[::-1], mode="valid")
-    head, tail = y[:q], y[-q:]
-    for j in range(1, m):
-        out[j - 1] = _edge_refit(spec, j) @ head
-    for j in range(m + 1, q + 1):
-        out[length - q + j - 1] = _edge_refit(spec, j) @ tail
-    return SignalSeries(tuple(float(v) for v in out), signal.abscissa)
+    out[length - (m - 1) :] = edges[m - 1 :] @ y[-q:]
+    return SignalSeries(out, signal.abscissa)
 
 
 def stream_smooth(source: Iterable[float], coeffs: FilterCoefficients) -> Iterator[float]:
@@ -123,12 +124,20 @@ def stream_smooth(source: Iterable[float], coeffs: FilterCoefficients) -> Iterat
     threads.
     """
     taps = coeffs.as_array()
+    dot = taps.dot
     q = taps.size
-    window: deque[float] = deque(maxlen=q)
+    # Each sample is written at k and k + q, so the last q samples always
+    # sit oldest-first in the contiguous slice buf[k : k + q].
+    buf = np.empty(2 * q)
+    k = 0
+    full = False
     for sample in source:
         value = float(sample)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError("signal contains NaN or infinite samples")
-        window.append(value)
-        if len(window) == q:
-            yield float(taps @ np.asarray(window))
+        buf[k] = buf[k + q] = value
+        k += 1
+        if k == q:
+            k, full = 0, True
+        if full:
+            yield float(dot(buf[k : k + q]))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +13,7 @@ from wsavgol.design import (
     design,
     design_coefficients,
     design_via_orthonormal_basis,
+    edge_taps,
     make_spec,
     quadratic_weight_constant_fit,
 )
@@ -152,6 +155,74 @@ class TestDesignCoefficients:
     def test_singular_normal_matrix_is_design_failure(self):
         with pytest.raises(np.linalg.LinAlgError):
             design(5, 6, "constant")
+
+
+def exact_off_center_taps(spec, j):
+    """Taps at index j from a fractions.Fraction solve of the normal equations."""
+    q, n = spec.q, spec.degree + 1
+    w = [Fraction(v) for v in spec.weight.values]
+    x = [Fraction(i - j) for i in range(1, q + 1)]
+    vander = [[xi**p for p in range(n)] for xi in x]
+    # Augmented [G | u_j] with G = X'WX and u_j = X[j] = e_0 (x_j = 0).
+    aug = [[sum(w[i] * vander[i][a] * vander[i][b] for i in range(q)) for b in range(n)]
+           + [Fraction(int(a == 0))] for a in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col] / aug[col][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    b = [aug[a][n] / aug[a][a] for a in range(n)]
+    return [float(w[i] * sum(vander[i][a] * b[a] for a in range(n))) for i in range(q)]
+
+
+class TestEdgeTaps:
+    @pytest.mark.parametrize("q,degree,kind", [(5, 2, "constant"), (25, 4, "quadratic"),
+                                               (51, 4, "triangular")])
+    def test_every_row_matches_exact_solve(self, q, degree, kind):
+        spec = make_spec(q, degree, kind)
+        taps = edge_taps(spec)
+        js = [j for j in range(1, q + 1) if j != spec.m]
+        assert taps.shape == (len(js), q) == (2 * (spec.m - 1), q)
+        for row, j in zip(taps, js):
+            assert_allclose(row, exact_off_center_taps(spec, j), rtol=0, atol=1e-12,
+                            err_msg=f"j={j}")
+
+    def test_published_endpoint_row(self):
+        assert_allclose(edge_taps(make_spec(5, 2, "constant"))[0], ENDPOINT_Q5_D2_J1,
+                        atol=1e-12)
+
+    def test_asymmetric_weights(self):
+        spec = make_spec(7, 2, custom_weights([1.0, 3.0, 2.0, 5.0, 1.0, 4.0, 2.0]))
+        js = [1, 2, 3, 5, 6, 7]
+        for row, j in zip(edge_taps(spec), js):
+            assert_allclose(row, exact_off_center_taps(spec, j), rtol=0, atol=1e-12)
+
+    def test_window_of_one_has_no_edges(self):
+        assert edge_taps(make_spec(1, 0)).shape == (0, 1)
+        assert edge_taps(make_spec(1, 1, "quadratic")).shape == (0, 1)
+
+    def test_needs_centered_spec(self):
+        with pytest.raises(ValueError, match="center-evaluated"):
+            edge_taps(make_spec(5, 2, j=2))
+
+    def test_overparameterized_off_center_fit(self):
+        # the centered design uses 3 columns; the off-center fit needs 6
+        with pytest.raises(ValueError, match="6 basis columns exceed window length 5"):
+            edge_taps(make_spec(5, 5))
+
+    def test_dc_gain_check_fires_on_every_row(self):
+        with pytest.raises(ValueError, match="taps must sum to 1, got 1.0000000"):
+            edge_taps(make_spec(1001, 20))
+
+    @pytest.mark.parametrize("q,degree", [(1001, 40), (4001, 30)])
+    def test_not_positive_definite_is_linalg_error(self, q, degree):
+        spec = make_spec(q, degree)
+        with pytest.raises(np.linalg.LinAlgError):
+            design_coefficients(spec)
+        with pytest.raises(np.linalg.LinAlgError):
+            edge_taps(spec)
 
 
 class TestOrthonormalRoute:

@@ -24,6 +24,29 @@ class TestSignalSeries:
         with pytest.raises(ValueError, match="abscissa"):
             SignalSeries.from_iterable([1.0, 2.0], abscissa=[0.0])
 
+    def test_values_are_a_read_only_copy(self):
+        source = np.array([1.0, 2.0, 3.0])
+        s = SignalSeries.from_iterable(source)
+        source[0] = 99.0
+        assert_allclose(s.values, [1.0, 2.0, 3.0], rtol=0, atol=0)
+        assert s.values.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            s.values[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            s.as_array()[1] = 5.0
+
+    def test_accepts_generators(self):
+        s = SignalSeries.from_iterable(float(v) for v in range(3))
+        assert_allclose(s.values, [0.0, 1.0, 2.0], rtol=0, atol=0)
+
+    def test_rejects_multidimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            SignalSeries.from_iterable(np.ones((2, 3)))
+
+    def test_smooth_output_is_read_only(self):
+        out = smooth(SignalSeries.from_iterable(range(9)), design(5, 2, "constant"))
+        assert isinstance(out.values, np.ndarray) and not out.values.flags.writeable
+
     def test_len_and_array(self):
         s = SignalSeries.from_iterable(range(4))
         assert len(s) == 4
@@ -103,6 +126,11 @@ class TestMirrorPolicy:
 
 
 class TestPolyfitPolicy:
+    def test_window_of_one_has_no_edges(self):
+        sig = SignalSeries.from_iterable([1.0, -2.0, 3.5])
+        out = smooth(sig, design(1, 0, "quadratic"), edge="polyfit")
+        assert_allclose(out.values, sig.values, rtol=0, atol=0)
+
     def test_ramp_reproduced_everywhere(self):
         sig = SignalSeries.from_iterable(range(10))
         out = smooth(sig, design(5, 2, "constant"), edge="polyfit")
@@ -129,8 +157,8 @@ class TestPolyfitPolicy:
 
     def test_default_policy(self):
         sig = SignalSeries.from_iterable(range(10))
-        assert smooth(sig, design(5, 2, "constant")).values == \
-            smooth(sig, design(5, 2, "constant"), edge="polyfit").values
+        assert np.array_equal(smooth(sig, design(5, 2, "constant")).values,
+                              smooth(sig, design(5, 2, "constant"), edge="polyfit").values)
 
 
 class TestAlgebraicProperties:
@@ -192,3 +220,36 @@ class TestStreaming:
         coeffs = design(3, 0, "constant")
         with pytest.raises(ValueError, match="NaN or infinite"):
             list(stream_smooth(iter([1.0, float("nan"), 2.0]), coeffs))
+
+    def test_outputs_before_a_nan_survive(self):
+        coeffs = design(3, 0, "constant")
+        seen = []
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            for value in stream_smooth(iter([3.0, 6.0, 9.0, 12.0, float("nan"), 1.0]), coeffs):
+                seen.append(value)
+        assert_allclose(seen, [6.0, 9.0], rtol=1e-15)
+
+    def test_first_output_after_exactly_one_window(self):
+        pulled = []
+
+        def counting():
+            for i in range(100):
+                pulled.append(i)
+                yield float(i)
+
+        coeffs = design(25, 4, "quadratic")
+        stream = stream_smooth(counting(), coeffs)
+        next(stream)
+        assert len(pulled) == 25
+        next(stream)
+        assert len(pulled) == 26
+
+    def test_bit_identical_to_window_dot_products(self):
+        # every output is taps @ (the last q samples, oldest first)
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal(300)
+        for q, d, kind in [(1, 0, "constant"), (11, 2, "triangular"), (51, 4, "quadratic")]:
+            taps = design(q, d, kind).as_array()
+            streamed = list(stream_smooth(iter(data), design(q, d, kind)))
+            expected = [float(taps @ np.array(data[i : i + q])) for i in range(data.size - q + 1)]
+            assert streamed == expected, (q, d, kind)
