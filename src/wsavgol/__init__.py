@@ -7,15 +7,11 @@ parameter.
 """
 
 from .design import (
-    BasisMatrix,
     FilterCoefficients,
     FilterSpec,
-    build_orthonormal_basis,
-    build_vandermonde,
     coefficient_weight_derivative,
     design,
     design_coefficients,
-    design_via_orthonormal_basis,
     make_spec,
     quadratic_weight_constant_fit,
 )
@@ -64,7 +60,6 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisMatrix",
     "ClosedForms",
     "EmpiricalRatios",
     "ExactRatios",
@@ -75,8 +70,6 @@ __all__ = [
     "SignalSeries",
     "VerificationReport",
     "WeightVector",
-    "build_orthonormal_basis",
-    "build_vandermonde",
     "certify",
     "closed_forms",
     "coefficient_weight_derivative",
@@ -84,7 +77,6 @@ __all__ = [
     "custom_weights",
     "design",
     "design_coefficients",
-    "design_via_orthonormal_basis",
     "eigenvalues_of_tw",
     "empirical_ratios",
     "error_reduction_ratio",

@@ -29,6 +29,8 @@ from .verify import CERTIFIED_EIGEN_WINDOW, certify, eigenvalues_of_tw
 from .weights import WeightVector, custom_weights
 
 WEIGHT_CHOICES = ("constant", "triangular", "quadratic")
+# Largest tap gap a coefficient document may show against a fresh design.
+COEFFICIENT_FILE_TOL = 1e-6
 
 
 def main(argv=None) -> int:
@@ -192,12 +194,20 @@ def _load_coefficient_document(path: str) -> FilterCoefficients:
         raise ValueError(f"cannot read coefficient file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"coefficient file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"coefficient file {path} must hold a JSON object")
     try:
         weight = WeightVector(tuple(float(v) for v in doc["weights"]), doc["weight_kind"])
         spec = FilterSpec(q=int(doc["q"]), degree=int(doc["degree"]), weight=weight)
-        return FilterCoefficients(tuple(float(v) for v in doc["coefficients"]), spec)
+        coeffs = FilterCoefficients(tuple(float(v) for v in doc["coefficients"]), spec)
     except KeyError as exc:
         raise ValueError(f"coefficient file {path} lacks field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"coefficient file {path} has a malformed field: {exc}") from None
+    gap = np.max(np.abs(coeffs.as_array() - design_coefficients(spec).as_array()))
+    if gap > COEFFICIENT_FILE_TOL:
+        raise ValueError(f"coefficient file {path}: taps differ from the design by {gap:.3g}")
+    return coeffs
 
 
 def cmd_design(args) -> int:

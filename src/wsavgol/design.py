@@ -2,10 +2,10 @@
 
 The filter tap vector is the linear functional that evaluates, at one
 chosen sample of a q-sample window, the polynomial that best fits the
-window in the weighted least-squares sense.  Two independent
-construction routes are provided: the normal-equations solve and an
-orthonormal-basis projection.  They must agree and the test suite holds
-them to that.
+window in the weighted least-squares sense.  Its construction is one
+projection: with A a weight-orthonormal Legendre basis on the window,
+every tap vector is a row of the hat matrix W A A'.  The test suite
+holds the taps to an exact rational solve of the normal equations.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ _WEIGHT_FACTORIES = {
 
 DC_GAIN_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
+# Relative Cholesky pivot below which a basis column is dependent on the
+# ones before it: well-posed fits keep pivots near 1, rank-deficient ones ~1e-8.
+DEGENERATE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,22 +89,17 @@ class FilterSpec:
         return (self.q + 1) // 2
 
     @property
-    def n_columns(self) -> int:
-        """Number of basis columns the fit actually uses.
-
-        At the center of an odd window, odd powers contribute nothing to
-        the evaluated value, so only even powers are carried and an odd
-        degree collapses to the even degree below it.
-        """
-        if self.is_centered:
-            return self.degree // 2 + 1
-        return self.degree + 1
+    def even_basis(self) -> bool:
+        """True when the fit drops odd degrees: at the center of an odd
+        window under symmetric weights they add nothing to the value."""
+        return self.is_centered and self.weight.is_symmetric
 
     @property
-    def basis_powers(self) -> tuple[int, ...]:
-        if self.is_centered:
-            return tuple(2 * k for k in range(self.n_columns))
-        return tuple(range(self.n_columns))
+    def n_columns(self) -> int:
+        """Number of basis columns the fit actually uses."""
+        if self.even_basis:
+            return self.degree // 2 + 1
+        return self.degree + 1
 
 
 def make_spec(q: int, degree: int, weight="constant", j: int | None = None) -> FilterSpec:
@@ -116,34 +114,6 @@ def make_spec(q: int, degree: int, weight="constant", j: int | None = None) -> F
     else:
         wv = custom_weights(weight)
     return FilterSpec(q=q, degree=degree, weight=wv, j=j)
-
-
-@dataclass(frozen=True, eq=False)
-class BasisMatrix:
-    """Polynomial basis sampled on the window grid.
-
-    Attributes:
-        columns: q-by-n array, one polynomial per column.
-        abscissa: the grid x_i = i - j, so the evaluation point is x=0.
-        powers: polynomial degree of each column (raw powers form only).
-        orthonormal: True when columns satisfy A'WA = I for the weight
-            the basis was built with.
-        eigenvalues: per-column eigenvalues (p+1)(p+2)/2 of the
-            second-difference/weight product, attached only when the
-            basis diagonalizes it, i.e. for quadratic weights.
-    """
-
-    columns: np.ndarray
-    abscissa: np.ndarray
-    powers: tuple[int, ...]
-    orthonormal: bool = False
-    eigenvalues: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.columns.ndim != 2:
-            raise ValueError("basis columns must form a 2-D array")
-        if self.columns.shape[0] != self.abscissa.shape[0]:
-            raise ValueError("basis and abscissa row counts differ")
 
 
 @dataclass(frozen=True)
@@ -166,9 +136,7 @@ class FilterCoefficients:
             )
         if abs(c.sum() - 1.0) > DC_GAIN_TOL:
             raise ValueError(f"taps must sum to 1, got {c.sum()!r}")
-        w = self.spec.weight.as_array()
-        weight_symmetric = np.max(np.abs(w - w[::-1])) <= 1e-12 * np.max(w)
-        if self.spec.is_centered and weight_symmetric:
+        if self.spec.even_basis:
             asym = np.max(np.abs(c - c[::-1]))
             if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(c))):
                 raise ValueError("center-evaluated taps must be symmetric")
@@ -181,103 +149,67 @@ class FilterCoefficients:
         return np.asarray(self.taps, dtype=float)
 
 
-def build_vandermonde(spec: FilterSpec) -> BasisMatrix:
-    """Raw power basis on the centered grid x_i = i - j.
+def legendre_basis(q: int, degree: int, even: bool = False) -> np.ndarray:
+    """Legendre polynomials P_0..P_degree on a q-sample window scaled to [-1, 1].
 
-    Centered specs carry even powers only; off-center specs carry all
-    powers 0..degree.
+    Built by the recurrence (k+1) P_{k+1} = (2k+1) t P_k - k P_{k-1}; even=True
+    keeps the even degrees only.  Unlike powers of the sample offset, these
+    columns stay well conditioned as the window and the degree grow.
     """
-    x = np.arange(1, spec.q + 1, dtype=float) - spec.evaluation_index
-    powers = spec.basis_powers
-    cols = np.column_stack([x**p for p in powers])
-    return BasisMatrix(columns=cols, abscissa=x, powers=powers)
+    t = (2.0 * np.arange(q) - (q - 1)) / max(q - 1, 1)
+    p = np.empty((degree + 1, q))
+    p[0] = 1.0
+    if degree:
+        p[1] = t
+    for k in range(1, degree):
+        p[k + 1] = ((2 * k + 1) * t * p[k] - k * p[k - 1]) / (k + 1)
+    return (p[::2] if even else p).T
 
 
 def orthonormalize_columns(columns: np.ndarray, weight_values: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt in the weighted inner product <a,b> = sum(w*a*b).
+    """Weight-orthonormal basis A = V L^{-T}, A'WA = I, with LL' = V'WV.
 
-    Two full passes are made; a single pass loses orthogonality beyond a
-    few columns at double precision.
+    Column k of A combines columns 0..k of V, as Gram-Schmidt would, so a
+    basis of increasing degree stays one.  Every tap, edge row and
+    derivative comes from this one factorization.
+
+    Raises:
+        numpy.linalg.LinAlgError: if the columns are linearly dependent
+            under the weights (a pivot below DEGENERATE_TOL).
     """
     w = np.asarray(weight_values, dtype=float)
-    a = np.array(columns, dtype=float)
-    q, n = a.shape
-    if w.shape != (q,):
+    v = np.asarray(columns, dtype=float)
+    if w.shape != (v.shape[0],):
         raise ValueError("weight vector does not match basis rows")
-    for _ in range(2):
-        for k in range(n):
-            col = a[:, k]
-            for prev in range(k):
-                col = col - ((w * a[:, prev]) @ col) * a[:, prev]
-            norm = np.sqrt((w * col) @ col)
-            if not np.isfinite(norm) or norm <= 0.0:
-                raise np.linalg.LinAlgError(
-                    f"basis column {k} is weight-degenerate; cannot orthonormalize"
-                )
-            a[:, k] = col / norm
-    return a
-
-
-def build_orthonormal_basis(spec: FilterSpec) -> BasisMatrix:
-    """Weight-orthonormal polynomial basis for a FilterSpec's window.
-
-    For quadratic weights the columns are eigenvectors of the
-    (second difference) x (weight) product, so the matching eigenvalues
-    (p+1)(p+2)/2 are attached.
-    """
-    raw = build_vandermonde(spec)
-    a = orthonormalize_columns(raw.columns, spec.weight.as_array())
-    eig = None
-    if spec.weight.kind == "quadratic":
-        eig = tuple((p + 1) * (p + 2) / 2.0 for p in raw.powers)
-    return BasisMatrix(
-        columns=a,
-        abscissa=raw.abscissa,
-        powers=raw.powers,
-        orthonormal=True,
-        eigenvalues=eig,
-    )
-
-
-def _solve_spd(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve g x = rhs for symmetric positive definite g via Cholesky.
-
-    rhs is one vector, or a matrix whose columns are solved together
-    from the one factorization.
-    """
-    lo = np.linalg.cholesky(g)
-    n = lo.shape[0]
-    y = np.empty(rhs.shape)
-    for i in range(n):
-        y[i] = (rhs[i] - lo[i, :i] @ y[:i]) / lo[i, i]
-    x = np.empty(rhs.shape)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - lo[i + 1 :, i] @ x[i + 1 :]) / lo[i, i]
-    return x
+    g = v.T @ (w[:, None] * v)
+    try:
+        lo = np.linalg.cholesky(g)
+        degenerate = (lo.diagonal() <= DEGENERATE_TOL * np.sqrt(g.diagonal())).any()
+    except np.linalg.LinAlgError:
+        degenerate = True
+    if degenerate:
+        raise np.linalg.LinAlgError("basis columns are weight-degenerate; cannot orthonormalize")
+    return np.linalg.solve(lo, v.T).T
 
 
 def design_coefficients(spec: FilterSpec) -> FilterCoefficients:
-    """Design filter taps by the weighted normal equations.
+    """Design filter taps c = W A A' u, row j of the hat matrix.
 
-    The taps are c = W X (X'WX)^{-1} X' u where X is the power basis, W
-    the diagonal weights and u the selector of the evaluation index.
-    For a length-1 window the result is the identity tap [1.0]
-    regardless of weighting.
+    A is the weight-orthonormal Legendre basis of the fit and u selects
+    the evaluation index j; c equals the normal-equations solution
+    W X (X'WX)^{-1} X' u for the power basis X.  A length-1 window gives
+    the identity tap [1.0] regardless of weighting.
 
     Raises:
-        numpy.linalg.LinAlgError: if the normal matrix is singular
-            (over-parameterized or degenerate basis).
+        numpy.linalg.LinAlgError: if the basis is weight-degenerate
+            (an over-parameterized fit).
     """
     if spec.q == 1:
         return FilterCoefficients((1.0,), spec)
-    basis = build_vandermonde(spec)
     w = spec.weight.as_array()
-    x = basis.columns
-    g = x.T @ (w[:, None] * x)
-    rhs = x[spec.evaluation_index - 1]
-    b = _solve_spd(g, rhs)
-    c = w * (x @ b)
-    return FilterCoefficients(tuple(float(v) for v in c), spec)
+    a = orthonormalize_columns(legendre_basis(spec.q, spec.degree, spec.even_basis), w)
+    c = w * (a @ a[spec.evaluation_index - 1])
+    return FilterCoefficients(tuple(c.tolist()), spec)
 
 
 def edge_taps(spec: FilterSpec) -> np.ndarray:
@@ -286,17 +218,14 @@ def edge_taps(spec: FilterSpec) -> np.ndarray:
     Row k holds the taps that evaluate, at index j = k + 1 (first m-1
     rows) or j = k + 2 (last m-1 rows), the same weighted fit of degree
     spec.degree over the same window: what :func:`design_coefficients`
-    returns for the spec shifted to j.  All 2(m-1) rows are rows of one
-    hat matrix, so they come from one Cholesky factorization of the
-    normal matrix, solved for all evaluation points at once.  The basis
-    is every power 0..degree of the window abscissa scaled to [-1, 1].
+    returns for the spec shifted to j.  They are the off-center rows of
+    one hat matrix W A A', A the full Legendre basis 0..degree.
 
     Raises:
         ValueError: for a spec that is not center-evaluated, when the
             off-center fit has more columns than the window has samples,
             or when a row does not sum to one within DC_GAIN_TOL.
-        numpy.linalg.LinAlgError: if the normal matrix is not positive
-            definite, as in :func:`design_coefficients`.
+        numpy.linalg.LinAlgError: if the basis is weight-degenerate.
     """
     if not spec.is_centered:
         raise ValueError("edge taps need a center-evaluated filter")
@@ -306,10 +235,10 @@ def edge_taps(spec: FilterSpec) -> np.ndarray:
     n = spec.degree + 1
     if n > q:
         raise ValueError(f"{n} basis columns exceed window length {q}")
-    x = np.vander((np.arange(1.0, q + 1) - m) / (m - 1), n, increasing=True)
-    wx = spec.weight.as_array()[:, None] * x
+    w = spec.weight.as_array()
+    a = orthonormalize_columns(legendre_basis(q, spec.degree), w)
     edges = np.r_[0 : m - 1, m:q]
-    taps = (wx @ _solve_spd(x.T @ wx, x[edges].T)).T
+    taps = (a[edges] @ a.T) * w
     sums = taps.sum(axis=1)
     off = np.abs(sums - 1.0) > DC_GAIN_TOL
     if off.any():
@@ -318,30 +247,11 @@ def edge_taps(spec: FilterSpec) -> np.ndarray:
     return taps
 
 
-def design_via_orthonormal_basis(spec: FilterSpec) -> FilterCoefficients:
-    """Design filter taps as c = W A A' u with A weight-orthonormal.
-
-    Independent of :func:`design_coefficients` (projection instead of a
-    linear solve); the two routes are held to 1e-9 agreement by the test
-    suite.  Only center-evaluated odd windows are supported here.
-    """
-    if not spec.is_centered:
-        raise ValueError("orthonormal-basis design requires a center-evaluated odd window")
-    if spec.q == 1:
-        return FilterCoefficients((1.0,), spec)
-    basis = build_orthonormal_basis(spec)
-    a = basis.columns
-    g = a @ a[spec.evaluation_index - 1]
-    c = spec.weight.as_array() * g
-    return FilterCoefficients(tuple(float(v) for v in c), spec)
-
-
 def quadratic_weight_constant_fit(q: int) -> FilterCoefficients:
     """Closed-form taps for the degree-0 fit under quadratic weights.
 
     Tap i (1-based) is 6 i (q+1-i) / (q (q+1) (q+2)).  Must agree with
-    the general design routes; kept as an independent closed-form
-    oracle.
+    the general design; kept as an independent closed-form oracle.
     """
     if q < 1 or q % 2 == 0:
         raise ValueError(f"window length must be odd and >= 1, got {q}")
@@ -359,23 +269,22 @@ def coefficient_weight_derivative(spec: FilterSpec, k: int) -> np.ndarray:
 
         dc/dW_kk = g_k (I - W P) e_k.
 
-    Agrees with central finite differences of the designed taps; the
-    test suite checks that at 1e-6 relative.
+    The basis keeps every degree up to min(degree, q-1), as changing one
+    weight breaks any symmetry.  Agrees with central finite differences
+    of the designed taps; the test suite checks that at 1e-6 relative.
     """
     if not 1 <= k <= spec.q:
         raise ValueError(f"weight index {k} outside 1..{spec.q}")
     if spec.q == 1:
         return np.zeros(1)
-    raw = build_vandermonde(spec)
     w = spec.weight.as_array()
-    a = orthonormalize_columns(raw.columns, w)
+    a = orthonormalize_columns(legendre_basis(spec.q, min(spec.degree, spec.q - 1)), w)
     g = a @ a[spec.evaluation_index - 1]
     e_k = np.zeros(spec.q)
     e_k[k - 1] = 1.0
-    p_ek = a @ a[k - 1]
-    return g[k - 1] * (e_k - w * p_ek)
+    return g[k - 1] * (e_k - w * (a @ a[k - 1]))
 
 
 def design(q: int, degree: int, weight="constant", j: int | None = None) -> FilterCoefficients:
-    """One-call design: build the FilterSpec and run the normal equations."""
+    """One-call design: build the FilterSpec and project onto its basis."""
     return design_coefficients(make_spec(q, degree, weight, j))

@@ -205,6 +205,12 @@ class FrequencyResponse:
         return iter(zip(self.omega, self.magnitude))
 
 
+def _dtft_magnitude(taps: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """|sum_k c_k e^{-i w k}| at each frequency w in omega."""
+    k = np.arange(taps.size)
+    return np.abs(np.exp(-1j * np.outer(omega, k)) @ taps)
+
+
 def frequency_response(c, num_points: int) -> FrequencyResponse:
     """Magnitude response |sum_k c_k e^{-i w k}| on [0, pi] inclusive.
 
@@ -212,22 +218,16 @@ def frequency_response(c, num_points: int) -> FrequencyResponse:
     """
     if num_points < 2:
         raise ValueError(f"need at least 2 frequency points, got {num_points}")
-    taps = _taps(c)
     omega = np.linspace(0.0, np.pi, num_points)
-    k = np.arange(taps.size)
-    mag = np.abs(np.exp(-1j * np.outer(omega, k)) @ taps)
-    return FrequencyResponse(omega=omega, magnitude=mag)
+    return FrequencyResponse(omega=omega, magnitude=_dtft_magnitude(_taps(c), omega))
 
 
 def stopband_peak(c, lower: float = 2.0 * np.pi / 3.0, num_points: int = 2048) -> float:
     """Largest response magnitude over [lower, pi]."""
     if not 0.0 <= lower < np.pi:
         raise ValueError(f"stopband edge must lie in [0, pi), got {lower}")
-    taps = _taps(c)
     omega = np.linspace(lower, np.pi, num_points)
-    k = np.arange(taps.size)
-    mag = np.abs(np.exp(-1j * np.outer(omega, k)) @ taps)
-    return float(mag.max())
+    return float(_dtft_magnitude(_taps(c), omega).max())
 
 
 @dataclass(frozen=True)
@@ -279,9 +279,10 @@ def metrics_report(coeffs: FilterCoefficients) -> MetricsReport:
     spec = coeffs.spec
     r = error_reduction_ratio(coeffs)
     s = smoothing_parameter(coeffs)
-    n = spec.n_columns
     if not spec.is_centered:
-        return MetricsReport(r=r, s=s, q=spec.q, n=n, m=None)
+        return MetricsReport(r=r, s=s, q=spec.q, n=spec.n_columns, m=None)
+    # The references are symmetric-weight designs, even-only basis.
+    n = spec.degree // 2 + 1
     m = spec.m
     exact = exact_ratios(spec.q, n) if n <= m else None
     approx = ratio_approximations(m, n) if n <= m else None

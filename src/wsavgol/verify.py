@@ -8,8 +8,8 @@ second-difference operator T with the diagonal weight matrix W: at the
 quadratic profile its eigenvalues are i(i+1)/2 and its eigenvectors are
 weight-orthogonal polynomials of increasing degree.
 
-Everything here works with the full power basis 1, x, x^2, ... of size
-n (not the even-only basis the design module uses at the center), since
+Everything here works with the full Legendre basis P_0, ..., P_{n-1}
+(not the even-only basis the design module uses at the center), since
 the eigenstructure enumerates polynomial degrees one by one.  All
 checks are plain numerical linear algebra with pinned tolerances; the
 module produces evidence, not proofs.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import orthonormalize_columns
+from .design import legendre_basis, orthonormalize_columns
 from .weights import SecondDifferenceMatrix, WeightVector, quadratic_weights
 
 EIGENVALUE_RTOL = 1e-8
@@ -69,14 +69,6 @@ def eigenvalues_of_tw(q: int) -> np.ndarray:
     return np.linalg.eigvalsh(sym)
 
 
-def full_power_basis(q: int, n: int) -> np.ndarray:
-    """Columns 1, x, ..., x^{n-1} on the centered grid."""
-    if not 1 <= n <= q:
-        raise ValueError(f"basis size {n} outside 1..{q}")
-    x = np.arange(1, q + 1, dtype=float) - (q + 1) / 2.0
-    return np.column_stack([x**p for p in range(n)])
-
-
 def orthonormal_polynomial_basis(q: int, n: int, weight=None) -> np.ndarray:
     """Weight-orthonormal polynomials of degrees 0..n-1 (A'WA = I).
 
@@ -84,14 +76,20 @@ def orthonormal_polynomial_basis(q: int, n: int, weight=None) -> np.ndarray:
     eigenvectors of TW with eigenvalues 1, 3, 6, ..., n(n+1)/2.
     """
     w = quadratic_weights(q).as_array() if weight is None else _weight_array(weight)
-    return orthonormalize_columns(full_power_basis(q, n), w)
+    return _polynomial_basis(q, n, w)
+
+
+def _polynomial_basis(q: int, n: int, w: np.ndarray) -> np.ndarray:
+    if not 1 <= n <= q:
+        raise ValueError(f"basis size {n} outside 1..{q}")
+    return orthonormalize_columns(legendre_basis(q, n - 1), w)
 
 
 def _center_projection(q: int, n: int, w: np.ndarray):
     """A, g = AA'u, c = Wg for the center selector u."""
     if q % 2 == 0:
         raise ValueError("center-based checks need an odd window")
-    a = orthonormalize_columns(full_power_basis(q, n), w)
+    a = _polynomial_basis(q, n, w)
     g = a @ a[(q + 1) // 2 - 1]
     return a, g, w * g
 
@@ -164,8 +162,7 @@ def projected_operator_spectrum(q: int, n: int) -> np.ndarray:
     """
     if not 1 <= n < q:
         raise ValueError(f"basis size {n} must satisfy 1 <= n < q = {q}")
-    w = quadratic_weights(q).as_array()
-    a = orthonormalize_columns(full_power_basis(q, n), w)
+    a = orthonormal_polynomial_basis(q, n)
     k = _projected_operator(q, n, a)
     return np.linalg.eigvalsh(0.5 * (k + k.T))
 

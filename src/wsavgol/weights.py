@@ -10,15 +10,16 @@ operator that the quadratic profile is defined by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 WEIGHT_KINDS = ("constant", "triangular", "quadratic", "custom")
 
-# Relative tolerance for the symmetry invariant of the built-in
-# symmetric weight profiles.  The closed-form constructors are exactly
-# symmetric; the tridiagonal solve can carry last-ulp asymmetry.
+# Relative tolerance of WeightVector.is_symmetric: the invariant of the
+# built-in symmetric profiles, and the test that lets a centered design
+# drop odd degrees.  The closed-form constructors are exactly symmetric;
+# the tridiagonal solve can carry last-ulp asymmetry.
 _SYMMETRY_RTOL = 1e-12
 
 
@@ -30,10 +31,13 @@ class WeightVector:
         values: the weights, index 1..q stored as a tuple.
         kind: one of ``constant``, ``triangular``, ``quadratic``,
             ``custom``.
+        is_symmetric: derived; True when w_i equals w_{q+1-i} to a
+            relative _SYMMETRY_RTOL.
     """
 
     values: tuple[float, ...]
     kind: str
+    is_symmetric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:
@@ -47,10 +51,10 @@ class WeightVector:
             raise ValueError("weights must be strictly positive")
         if self.kind == "constant" and np.any(arr != arr[0]):
             raise ValueError("constant weights must all be equal")
-        if self.kind in ("triangular", "quadratic"):
-            asym = np.max(np.abs(arr - arr[::-1]))
-            if asym > _SYMMETRY_RTOL * np.max(arr):
-                raise ValueError(f"{self.kind} weights must be symmetric")
+        symmetric = bool(np.max(np.abs(arr - arr[::-1])) <= _SYMMETRY_RTOL * np.max(arr))
+        object.__setattr__(self, "is_symmetric", symmetric)
+        if self.kind in ("triangular", "quadratic") and not symmetric:
+            raise ValueError(f"{self.kind} weights must be symmetric")
 
     @property
     def q(self) -> int:

@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from exact_fit import exact_float_taps
 from numpy.testing import assert_allclose
 
 from wsavgol.cli import main
+from wsavgol.design import make_spec
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +74,24 @@ class TestDesignCommand:
         code, out, _ = run_cli(capsys, "design", "--window", "3", "--weight-file", str(path))
         assert code == 0
         assert json.loads(out)["weight_kind"] == "custom"
+
+    def test_asymmetric_weight_file_reproduces_every_degree(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("1\n3\n2\n5\n1\n4\n2\n")
+        code, out, _ = run_cli(capsys, "design", "--window", "7", "--degree", "2",
+                               "--weight-file", str(path))
+        assert code == 0
+        c = np.array(json.loads(out)["coefficients"])
+        x = np.arange(-3.0, 4.0)
+        for power in range(3):
+            assert abs(c @ x**power - float(power == 0)) < 1e-13, power
+
+    @pytest.mark.parametrize("q,degree", [(1001, 20), (1001, 40), (2001, 20), (4001, 30)])
+    def test_large_windows_match_exact_solve(self, capsys, q, degree):
+        code, out, _ = run_cli(capsys, "design", "--window", str(q), "--degree", str(degree))
+        assert code == 0
+        assert_allclose(json.loads(out)["coefficients"],
+                        exact_float_taps(make_spec(q, degree)), rtol=0, atol=1e-14)
 
     def test_negative_weight_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "w.txt"
@@ -247,6 +267,44 @@ class TestSmoothCommand:
                                      "--weight", "quadratic", "--edge", "polyfit")
         assert code == 0
         assert out_file == out_flags  # bit-for-bit reproduction
+
+    def _smooth_with_document(self, capsys, tmp_path, doc):
+        coeff_path = tmp_path / "c.json"
+        coeff_path.write_text(json.dumps(doc))
+        src = tmp_path / "in.csv"
+        _write_csv(src, ["y"], [str(float(v)) for v in range(12)])
+        return run_cli(capsys, "smooth", "--input", str(src), "--column", "y",
+                       "--coeff-file", str(coeff_path), "--edge", "mirror")
+
+    @staticmethod
+    def _moving_average_document(taps):
+        return {"q": 5, "degree": 0, "weight_kind": "constant", "weights": [1.0] * 5,
+                "coefficients": taps}
+
+    def test_coefficient_file_must_be_an_object(self, capsys, tmp_path):
+        code, _, err = self._smooth_with_document(capsys, tmp_path, [0.2] * 5)
+        assert code == 2
+        assert err.strip() == f"error: coefficient file {tmp_path / 'c.json'} must hold a JSON object"
+
+    def test_coefficient_file_non_list_weights(self, capsys, tmp_path):
+        doc = self._moving_average_document([0.2] * 5)
+        doc["weights"] = 5
+        code, _, err = self._smooth_with_document(capsys, tmp_path, doc)
+        assert code == 2
+        assert "malformed field" in err and len(err.strip().splitlines()) == 1
+
+    def test_coefficient_file_taps_must_match_the_design(self, capsys, tmp_path):
+        doc = self._moving_average_document([0.1, 0.1, 0.6, 0.1, 0.1])
+        code, _, err = self._smooth_with_document(capsys, tmp_path, doc)
+        assert code == 2
+        assert "taps differ from the design" in err
+
+    def test_coefficient_file_taps_within_margin_load(self, capsys, tmp_path):
+        # documents written by a less accurate kernel sit up to 5e-8 off
+        taps = [0.2 - 5e-8, 0.2 + 5e-8, 0.2, 0.2 + 5e-8, 0.2 - 5e-8]
+        code, _, _ = self._smooth_with_document(capsys, tmp_path,
+                                                self._moving_average_document(taps))
+        assert code == 0
 
 
 class TestFreqrespCommand:

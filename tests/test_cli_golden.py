@@ -3,29 +3,25 @@
 The input mixes quoted commas, doubled quotes, an embedded newline,
 blank lines, one short row and both LF and CRLF line endings.  The
 expected files under ``tests/golden`` were written by the CLI before its
-CSV path was rewritten; `valid` and `mirror` output must match them byte
-for byte.  For `polyfit` every input column and every interior row must
-match byte for byte.  The edge cells (off-center fits) must stay within
-1e-12 of an exact rational solve, and close to the recorded values: the
-recorded cell of row 0 is itself 2.0e-12 away from the exact value, so
-that comparison uses 5e-12.
+CSV path was rewritten, and before the design moved to the Legendre
+projection kernel.  Every byte except the smoothed cells must match
+them.  The smoothed cells carry the design's last-digit rounding, so
+each is held instead to within 1e-14 of its exact rational value: the
+exact taps applied to the parsed input samples.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
-from test_design import exact_off_center_taps
+from exact_fit import exact_taps
 
 from wsavgol.cli import main
 from wsavgol.design import make_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 FILTER = ["--window", "25", "--degree", "4", "--weight", "quadratic"]
-EDGE_ATOL = 1e-12
-RECORDED_EDGE_ATOL = 5e-12
-# Rows whose smoothed cell comes from an off-center refit under polyfit.
-HALF = 12
+SMOOTHED_ATOL = 1e-14
 
 
 def golden_input() -> bytes:
@@ -62,37 +58,48 @@ def test_input_has_every_feature():
     assert b'""hi""' in data and b'"a, b"' in data and b"\n17," in data
 
 
-@pytest.mark.parametrize("edge", ["valid", "mirror"])
+def exact_smoothed(y: list[float], edge: str) -> list[Fraction | None]:
+    """Exact smoothed value of every row; None where `valid` leaves it blank."""
+    spec = make_spec(25, 4, "quadratic")
+    q, m, rows = spec.q, spec.m, len(y)
+    center = exact_taps(spec)
+    out = []
+    for r in range(rows):
+        if m - 1 <= r < rows - (m - 1):
+            taps, start = center, r - (m - 1)
+        elif edge == "valid":
+            out.append(None)
+            continue
+        elif edge == "polyfit":
+            start = 0 if r < m - 1 else rows - q
+            taps = exact_taps(spec, r - start + 1)
+        else:  # mirror: reflect about the end samples
+            idx = [abs(i) if i < rows else 2 * (rows - 1) - i for i in range(r - m + 1, r + m)]
+            out.append(sum(c * Fraction(y[i]) for c, i in zip(center, idx)))
+            continue
+        out.append(sum(c * Fraction(v) for c, v in zip(taps, y[start : start + q])))
+    return out
+
+
+@pytest.mark.parametrize("edge", ["valid", "mirror", "polyfit"])
 def test_exact_bytes(tmp_path, edge):
     code, out = run_smooth(tmp_path, golden_input(), "--edge", edge)
     assert code == 0
-    assert out == (GOLDEN / f"smooth_{edge}.csv").read_bytes()
-
-
-def test_polyfit_interior_exact_and_edges_close(tmp_path):
-    code, out = run_smooth(tmp_path, golden_input(), "--edge", "polyfit")
-    assert code == 0
-    expected = (GOLDEN / "smooth_polyfit.csv").read_bytes()
+    expected = (GOLDEN / f"smooth_{edge}.csv").read_bytes()
     # One record per CRLF; the embedded newline in a note is a bare LF.
     got_rows, want_rows = out.split(b"\r\n"), expected.split(b"\r\n")
     assert len(got_rows) == len(want_rows) == 1 + 40 + 1
-    assert got_rows[0] == want_rows[0]
+    assert got_rows[0] == want_rows[0] and got_rows[-1] == want_rows[-1] == b""
     data_rows = list(zip(got_rows[1:-1], want_rows[1:-1]))
-    rows = len(data_rows)
-    y = np.array([float(row.split(b",")[1]) for row, _ in data_rows])
-    spec = make_spec(25, 4, "quadratic")
-    for k, (got, want) in enumerate(data_rows):
-        if HALF <= k < rows - HALF:
-            assert got == want, f"interior row {k}"
-            continue
+    y = [float(got.split(b",")[1]) for got, _ in data_rows]
+    for k, ((got, want), exact) in enumerate(zip(data_rows, exact_smoothed(y, edge))):
         got_head, _, got_cell = got.rpartition(b",")
         want_head, _, want_cell = want.rpartition(b",")
-        assert got_head == want_head, f"input columns of edge row {k}"
-        start = 0 if k < HALF else rows - spec.q
-        exact = np.dot(exact_off_center_taps(spec, k - start + 1), y[start : start + spec.q])
-        assert float(got_cell) == pytest.approx(exact, rel=0, abs=EDGE_ATOL), k
-        assert float(got_cell) == pytest.approx(float(want_cell), rel=0,
-                                                abs=RECORDED_EDGE_ATOL), k
+        assert got_head == want_head, f"input columns of row {k}"
+        if exact is None:
+            assert got_cell == want_cell == b"", k
+        else:
+            assert abs(Fraction(float(got_cell)) - exact) <= SMOOTHED_ATOL, k
 
 
 def test_over_long_row_is_usage_error(tmp_path, capsys):

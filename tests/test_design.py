@@ -1,20 +1,21 @@
-from fractions import Fraction
+import importlib
 
 import numpy as np
 import pytest
+from exact_fit import exact_float_taps
 from numpy.testing import assert_allclose
 
+import wsavgol
 from wsavgol.design import (
     FilterCoefficients,
     FilterSpec,
-    build_orthonormal_basis,
-    build_vandermonde,
     coefficient_weight_derivative,
     design,
     design_coefficients,
-    design_via_orthonormal_basis,
     edge_taps,
+    legendre_basis,
     make_spec,
+    orthonormalize_columns,
     quadratic_weight_constant_fit,
 )
 from wsavgol.weights import constant_weights, custom_weights, quadratic_weights
@@ -23,6 +24,14 @@ CLASSIC_Q5_D2 = np.array([-3.0, 12.0, 17.0, 12.0, -3.0]) / 35.0
 QUAD_Q5_D0 = np.array([5.0, 8.0, 9.0, 8.0, 5.0]) / 35.0
 # Published endpoint row for the quadratic fit on a 5-sample window.
 ENDPOINT_Q5_D2_J1 = np.array([31.0, 9.0, -3.0, -5.0, 3.0]) / 35.0
+ASYMMETRIC_Q7 = [1.0, 3.0, 2.0, 5.0, 1.0, 4.0, 2.0]
+# The package re-exports the function `design`, which shadows the module.
+design_module = importlib.import_module("wsavgol.design")
+
+
+def test_every_public_name_resolves():
+    for name in wsavgol.__all__:
+        assert getattr(wsavgol, name) is not None, name
 
 
 class TestFilterSpec:
@@ -32,13 +41,20 @@ class TestFilterSpec:
         assert spec.is_centered
         assert spec.m == 4
         assert spec.n_columns == 2
-        assert spec.basis_powers == (0, 2)
+        assert spec.even_basis
 
     def test_off_center_uses_all_powers(self):
         spec = make_spec(7, 2, j=2)
         assert not spec.is_centered
         assert spec.n_columns == 3
-        assert spec.basis_powers == (0, 1, 2)
+        assert not spec.even_basis
+
+    def test_asymmetric_weights_use_all_degrees_at_center(self):
+        spec = make_spec(7, 3, custom_weights(ASYMMETRIC_Q7))
+        assert spec.is_centered and not spec.even_basis
+        assert spec.n_columns == 4
+        with pytest.raises(ValueError, match="8 basis columns exceed window length 7"):
+            make_spec(7, 7, custom_weights(ASYMMETRIC_Q7))
 
     def test_odd_degree_collapses_at_center(self):
         assert make_spec(9, 3).n_columns == make_spec(9, 2).n_columns == 2
@@ -72,26 +88,35 @@ class TestFilterSpec:
 
 
 class TestVandermonde:
+    """The Legendre basis sampled on the window scaled to [-1, 1]."""
+
     def test_degree0_center(self):
-        basis = build_vandermonde(make_spec(5, 0))
-        assert basis.columns.shape == (5, 1)
-        assert_allclose(basis.columns[:, 0], np.ones(5), rtol=0, atol=0)
+        basis = legendre_basis(5, 0)
+        assert basis.shape == (5, 1)
+        assert_allclose(basis[:, 0], np.ones(5), rtol=0, atol=0)
 
     def test_degree2_center_even_powers(self):
-        basis = build_vandermonde(make_spec(5, 2))
-        assert basis.powers == (0, 2)
-        assert_allclose(basis.columns[:, 0], np.ones(5), rtol=0, atol=0)
-        assert_allclose(basis.columns[:, 1], [4.0, 1.0, 0.0, 1.0, 4.0], rtol=0, atol=0)
+        basis = legendre_basis(5, 2, even=True)
+        assert basis.shape == (5, 2)
+        assert_allclose(basis[:, 0], np.ones(5), rtol=0, atol=0)
+        assert_allclose(basis[:, 1], [1.0, -0.125, -0.5, -0.125, 1.0], rtol=0, atol=0)
 
     def test_off_center_grid(self):
-        basis = build_vandermonde(make_spec(3, 2, j=1))
-        assert_allclose(basis.abscissa, [0.0, 1.0, 2.0], rtol=0, atol=0)
-        assert_allclose(basis.columns[:, 1], [0.0, 1.0, 2.0], rtol=0, atol=0)
-        assert_allclose(basis.columns[:, 2], [0.0, 1.0, 4.0], rtol=0, atol=0)
+        # an off-center fit keeps every degree on the same grid
+        assert_allclose(legendre_basis(3, 2),
+                        [[1.0, -1.0, 1.0], [1.0, 0.0, -0.5], [1.0, 1.0, 1.0]], rtol=0, atol=0)
 
     def test_evaluation_point_is_origin(self):
-        basis = build_vandermonde(make_spec(9, 4, j=3))
-        assert basis.abscissa[2] == 0.0
+        basis = legendre_basis(9, 4)
+        assert basis[4, 1] == 0.0
+        assert np.array_equal(basis[::-1, 1], -basis[:, 1])
+
+    def test_matches_numpy_legvander(self):
+        t = np.linspace(-1.0, 1.0, 41)
+        assert_allclose(legendre_basis(41, 12), np.polynomial.legendre.legvander(t, 12),
+                        rtol=0, atol=1e-14)
+        assert_allclose(legendre_basis(41, 12, even=True),
+                        np.polynomial.legendre.legvander(t, 12)[:, ::2], rtol=0, atol=1e-14)
 
 
 class TestDesignCoefficients:
@@ -153,28 +178,18 @@ class TestDesignCoefficients:
         assert_allclose(c, expected, atol=1e-8)
 
     def test_singular_normal_matrix_is_design_failure(self):
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError, match="weight-degenerate"):
             design(5, 6, "constant")
 
-
-def exact_off_center_taps(spec, j):
-    """Taps at index j from a fractions.Fraction solve of the normal equations."""
-    q, n = spec.q, spec.degree + 1
-    w = [Fraction(v) for v in spec.weight.values]
-    x = [Fraction(i - j) for i in range(1, q + 1)]
-    vander = [[xi**p for p in range(n)] for xi in x]
-    # Augmented [G | u_j] with G = X'WX and u_j = X[j] = e_0 (x_j = 0).
-    aug = [[sum(w[i] * vander[i][a] * vander[i][b] for i in range(q)) for b in range(n)]
-           + [Fraction(int(a == 0))] for a in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col] / aug[col][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    b = [aug[a][n] / aug[a][a] for a in range(n)]
-    return [float(w[i] * sum(vander[i][a] * b[a] for a in range(n))) for i in range(q)]
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_asymmetric_weights_reproduce_every_degree(self, degree):
+        # Odd degrees matter at the center once the weights are asymmetric.
+        spec = make_spec(7, degree, custom_weights(ASYMMETRIC_Q7))
+        c = design_coefficients(spec).as_array()
+        x = np.arange(1, 8, dtype=float) - spec.m
+        for power in range(degree + 1):
+            assert abs(c @ x**power - float(power == 0)) < 1e-13, power
+        assert_allclose(c, exact_float_taps(spec), rtol=0, atol=1e-15)
 
 
 class TestEdgeTaps:
@@ -186,7 +201,7 @@ class TestEdgeTaps:
         js = [j for j in range(1, q + 1) if j != spec.m]
         assert taps.shape == (len(js), q) == (2 * (spec.m - 1), q)
         for row, j in zip(taps, js):
-            assert_allclose(row, exact_off_center_taps(spec, j), rtol=0, atol=1e-12,
+            assert_allclose(row, exact_float_taps(spec, j), rtol=0, atol=1e-14,
                             err_msg=f"j={j}")
 
     def test_published_endpoint_row(self):
@@ -194,10 +209,10 @@ class TestEdgeTaps:
                         atol=1e-12)
 
     def test_asymmetric_weights(self):
-        spec = make_spec(7, 2, custom_weights([1.0, 3.0, 2.0, 5.0, 1.0, 4.0, 2.0]))
+        spec = make_spec(7, 2, custom_weights(ASYMMETRIC_Q7))
         js = [1, 2, 3, 5, 6, 7]
         for row, j in zip(edge_taps(spec), js):
-            assert_allclose(row, exact_off_center_taps(spec, j), rtol=0, atol=1e-12)
+            assert_allclose(row, exact_float_taps(spec, j), rtol=0, atol=1e-14)
 
     def test_window_of_one_has_no_edges(self):
         assert edge_taps(make_spec(1, 0)).shape == (0, 1)
@@ -212,30 +227,37 @@ class TestEdgeTaps:
         with pytest.raises(ValueError, match="6 basis columns exceed window length 5"):
             edge_taps(make_spec(5, 5))
 
-    def test_dc_gain_check_fires_on_every_row(self):
-        with pytest.raises(ValueError, match="taps must sum to 1, got 1.0000000"):
-            edge_taps(make_spec(1001, 20))
+    def test_dc_gain_check_fires_on_every_row(self, monkeypatch):
+        kernel = design_module.orthonormalize_columns
+        monkeypatch.setattr(design_module, "orthonormalize_columns",
+                            lambda v, w: kernel(v, w) * (1.0 + 1e-6))
+        with pytest.raises(ValueError, match=r"taps must sum to 1, got 1\.000002.* at j=1$"):
+            edge_taps(make_spec(25, 4))
 
     @pytest.mark.parametrize("q,degree", [(1001, 40), (4001, 30)])
-    def test_not_positive_definite_is_linalg_error(self, q, degree):
+    def test_large_windows_match_exact_solve(self, q, degree):
         spec = make_spec(q, degree)
-        with pytest.raises(np.linalg.LinAlgError):
-            design_coefficients(spec)
-        with pytest.raises(np.linalg.LinAlgError):
-            edge_taps(spec)
+        taps = edge_taps(spec)
+        m = spec.m
+        for j, row in [(1, 0), (m + 1, m - 1), (q, 2 * m - 3)]:
+            assert_allclose(taps[row], exact_float_taps(spec, j), rtol=0, atol=1e-14,
+                            err_msg=f"j={j}")
 
 
 class TestOrthonormalRoute:
+    """Taps from the one projection kernel: W A A' u with A'WA = I."""
+
+    @staticmethod
+    def center_row(spec):
+        w = spec.weight.as_array()
+        a = orthonormalize_columns(legendre_basis(spec.q, spec.degree, spec.even_basis), w)
+        return w * (a @ a[spec.m - 1])
+
     def test_matches_quadratic_closed_form(self):
-        c = design_via_orthonormal_basis(make_spec(5, 0, "quadratic"))
-        assert_allclose(c.as_array(), QUAD_Q5_D0, atol=1e-12)
+        assert_allclose(self.center_row(make_spec(5, 0, "quadratic")), QUAD_Q5_D0, atol=1e-15)
 
     def test_matches_classic_table(self):
-        c = design_via_orthonormal_basis(make_spec(5, 2, "constant"))
-        assert_allclose(c.as_array(), CLASSIC_Q5_D2, atol=1e-12)
-
-    def test_q1_identity(self):
-        assert design_via_orthonormal_basis(make_spec(1, 0, "triangular")).taps == (1.0,)
+        assert_allclose(self.center_row(make_spec(5, 2, "constant")), CLASSIC_Q5_D2, atol=1e-15)
 
     @pytest.mark.parametrize("q", [3, 5, 9, 25, 51])
     @pytest.mark.parametrize("degree", [0, 2, 4])
@@ -244,26 +266,24 @@ class TestOrthonormalRoute:
         spec = make_spec(q, degree, kind)
         if spec.n_columns > spec.m:
             pytest.skip("over-parameterized center fit")
-        a = design_coefficients(spec).as_array()
-        b = design_via_orthonormal_basis(spec).as_array()
-        assert np.max(np.abs(a - b)) < 1e-9
+        assert_allclose(design_coefficients(spec).as_array(), exact_float_taps(spec),
+                        rtol=0, atol=1e-13)
 
-    def test_rejects_off_center(self):
-        with pytest.raises(ValueError, match="center-evaluated"):
-            design_via_orthonormal_basis(make_spec(5, 0, "constant", j=2))
+    @pytest.mark.parametrize("q,degree,kind", [(401, 16, "quadratic"), (1001, 40, "constant"),
+                                               (4001, 30, "constant")])
+    def test_large_windows_agree_with_normal_equations(self, q, degree, kind):
+        spec = make_spec(q, degree, kind)
+        assert_allclose(design_coefficients(spec).as_array(), exact_float_taps(spec),
+                        rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("q,degree,kind", [(9, 4, "constant"), (13, 6, "quadratic"),
                                                (7, 2, "triangular")])
     def test_basis_is_weight_orthonormal(self, q, degree, kind):
         spec = make_spec(q, degree, kind)
-        basis = build_orthonormal_basis(spec)
         w = spec.weight.as_array()
-        gram = basis.columns.T @ (w[:, None] * basis.columns)
-        assert np.max(np.abs(gram - np.eye(spec.n_columns))) < 1e-9
-
-    def test_eigenvalues_attached_only_for_quadratic(self):
-        assert build_orthonormal_basis(make_spec(7, 2, "quadratic")).eigenvalues == (1.0, 6.0)
-        assert build_orthonormal_basis(make_spec(7, 2, "constant")).eigenvalues is None
+        a = orthonormalize_columns(legendre_basis(q, degree, spec.even_basis), w)
+        gram = a.T @ (w[:, None] * a)
+        assert np.max(np.abs(gram - np.eye(spec.n_columns))) < 1e-14
 
 
 class TestClosedFormFit:
@@ -297,7 +317,8 @@ class TestWeightDerivative:
             coefficient_weight_derivative(make_spec(5, 0, "constant"), 6)
 
     @pytest.mark.parametrize("q,degree,kind", [(5, 0, "constant"), (5, 0, "quadratic"),
-                                               (7, 2, "triangular"), (9, 4, "quadratic")])
+                                               (7, 2, "triangular"), (9, 4, "quadratic"),
+                                               (7, 3, "quadratic")])
     def test_matches_central_finite_differences(self, q, degree, kind):
         spec = make_spec(q, degree, kind)
         w0 = spec.weight.as_array()

@@ -10,7 +10,6 @@ from wsavgol.verify import (
     certify,
     eigenvalues_of_tw,
     expected_tw_eigenvalues,
-    full_power_basis,
     hessian,
     lambda_min_formula,
     lambda_min_monotonicity,
@@ -71,7 +70,7 @@ class TestTwEigensystem:
 
     def test_basis_size_validation(self):
         with pytest.raises(ValueError, match="outside"):
-            full_power_basis(3, 4)
+            orthonormal_polynomial_basis(3, 4)
 
 
 class TestGradient:
@@ -269,6 +268,8 @@ class TestBasisHelpers:
             orthonormalize_columns(cols, np.ones(4))
 
     def test_full_power_basis_shape(self):
-        b = full_power_basis(7, 3)
+        # every degree 0..n-1, not the even-only basis of a centered design
+        b = orthonormal_polynomial_basis(7, 3, constant_weights(7))
         assert b.shape == (7, 3)
-        assert_allclose(b[:, 0], np.ones(7), rtol=0, atol=0)
+        assert_allclose(b[:, 0], np.full(7, 1 / np.sqrt(7)), rtol=1e-15, atol=0)
+        assert_allclose(b[:, 1], -b[::-1, 1], rtol=0, atol=1e-15)
