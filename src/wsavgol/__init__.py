@@ -9,7 +9,6 @@ parameter.
 from .design import (
     FilterCoefficients,
     FilterSpec,
-    coefficient_weight_derivative,
     design,
     design_coefficients,
     make_spec,
@@ -72,7 +71,6 @@ __all__ = [
     "WeightVector",
     "certify",
     "closed_forms",
-    "coefficient_weight_derivative",
     "constant_weights",
     "custom_weights",
     "design",

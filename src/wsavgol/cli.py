@@ -186,6 +186,14 @@ def _coefficient_document(coeffs: FilterCoefficients) -> dict:
     }
 
 
+def _json_number(value, key: str, path: str, integral: bool = False):
+    """A JSON number, never a bool or a string; integral=True takes 5 or 5.0, not 5.9."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or integral and not float(value).is_integer()):
+        raise ValueError(f"coefficient file {path} has a malformed field {key!r}: {value!r}")
+    return int(value) if integral else float(value)
+
+
 def _load_coefficient_document(path: str) -> FilterCoefficients:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -197,12 +205,15 @@ def _load_coefficient_document(path: str) -> FilterCoefficients:
     if not isinstance(doc, dict):
         raise ValueError(f"coefficient file {path} must hold a JSON object")
     try:
-        weight = WeightVector(tuple(float(v) for v in doc["weights"]), doc["weight_kind"])
-        spec = FilterSpec(q=int(doc["q"]), degree=int(doc["degree"]), weight=weight)
-        coeffs = FilterCoefficients(tuple(float(v) for v in doc["coefficients"]), spec)
+        weights = tuple(_json_number(v, "weights", path) for v in doc["weights"])
+        spec = FilterSpec(q=_json_number(doc["q"], "q", path, integral=True),
+                          degree=_json_number(doc["degree"], "degree", path, integral=True),
+                          weight=WeightVector(weights, doc["weight_kind"]))
+        taps = tuple(_json_number(v, "coefficients", path) for v in doc["coefficients"])
+        coeffs = FilterCoefficients(taps, spec)
     except KeyError as exc:
         raise ValueError(f"coefficient file {path} lacks field {exc}") from None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"coefficient file {path} has a malformed field: {exc}") from None
     gap = np.max(np.abs(coeffs.as_array() - design_coefficients(spec).as_array()))
     if gap > COEFFICIENT_FILE_TOL:
@@ -338,6 +349,11 @@ def cmd_verify(args) -> int:
     if args.max_degree < 0:
         raise ValueError(f"max degree must be >= 0, got {args.max_degree}")
     custom = _read_weight_file(args.weight_file) if args.weight_file else None
+    if custom is not None and len(custom) not in range(3, max_q + 1, 2):
+        raise ValueError(
+            f"weight file {args.weight_file} holds {len(custom)} weights; "
+            f"verify needs an odd window length in 3..{max_q} (--max-window)"
+        )
 
     reports = []
     eigen_lines = []
@@ -346,13 +362,10 @@ def cmd_verify(args) -> int:
         if q <= CERTIFIED_EIGEN_WINDOW:
             eig = eigenvalues_of_tw(q)
             eigen_lines.append((q, eig))
-        weight = None
-        if custom is not None:
-            if len(custom) != q:
-                continue  # the injected vector only applies to its own window
-            weight = custom
+        if custom is not None and len(custom) != q:
+            continue  # the injected vector only applies to its own window
         for n in range(1, min(args.max_degree + 1, m - 1) + 1):
-            reports.append(certify(q, n, seed=args.seed, weight=weight))
+            reports.append(certify(q, n, seed=args.seed, weight=custom))
     if not reports:
         raise ValueError("verification grid is empty; raise --max-window or --max-degree")
 

@@ -191,6 +191,31 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAILED" in out
 
+    @pytest.mark.parametrize("weights,max_window", [(8, 11), (5, 3)])
+    def test_weight_file_outside_the_grid_names_length_and_range(self, capsys, tmp_path,
+                                                                 weights, max_window):
+        path = tmp_path / "w.txt"
+        path.write_text("1.0\n" * weights)
+        code, _, err = run_cli(capsys, "verify", "--max-window", str(max_window),
+                               "--weight-file", str(path))
+        assert code == 2
+        assert f"holds {weights} weights" in err and f"3..{max_window}" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_weight_file_report_has_no_hessian(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("1.0 2.0 3.0 2.0 1.0\n")
+        argv = ("verify", "--max-window", "5", "--weight-file", str(path))
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 1
+        reports = json.loads(out)["reports"]
+        assert [rep["n"] for rep in reports] == [1, 2]
+        assert all(rep["min_hessian_eigenvalue"] is None for rep in reports)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        rows = [line.split() for line in out.splitlines() if line.startswith("5 ")]
+        assert [row[3] for row in rows] == ["-", "-"]  # q, n, max|grad|, min eig(H)
+
     def test_even_max_window_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--max-window", "8")
         assert code == 2
@@ -298,6 +323,23 @@ class TestSmoothCommand:
         code, _, err = self._smooth_with_document(capsys, tmp_path, doc)
         assert code == 2
         assert "taps differ from the design" in err
+
+    @pytest.mark.parametrize("fields", [
+        {"q": 5.9, "degree": 0.7},
+        {"q": True, "weights": [1.0], "coefficients": [1.0]},
+        {"q": "5", "degree": "0"},
+        {"weights": ["1"] * 5, "coefficients": ["0.2"] * 5},
+    ], ids=["fractional", "bool", "string-sizes", "string-entries"])
+    def test_coefficient_file_field_types(self, capsys, tmp_path, fields):
+        doc = {**self._moving_average_document([0.2] * 5), **fields}
+        code, _, err = self._smooth_with_document(capsys, tmp_path, doc)
+        assert code == 2
+        assert "malformed field" in err and len(err.strip().splitlines()) == 1
+
+    def test_coefficient_file_integral_floats_load(self, capsys, tmp_path):
+        doc = {**self._moving_average_document([0.2] * 5), "q": 5.0, "degree": 0.0}
+        code, _, _ = self._smooth_with_document(capsys, tmp_path, doc)
+        assert code == 0
 
     def test_coefficient_file_taps_within_margin_load(self, capsys, tmp_path):
         # documents written by a less accurate kernel sit up to 5e-8 off

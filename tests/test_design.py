@@ -9,7 +9,6 @@ import wsavgol
 from wsavgol.design import (
     FilterCoefficients,
     FilterSpec,
-    coefficient_weight_derivative,
     design,
     design_coefficients,
     edge_taps,
@@ -305,37 +304,6 @@ class TestClosedFormFit:
     def test_rejects_even_window(self):
         with pytest.raises(ValueError, match="odd"):
             quadratic_weight_constant_fit(4)
-
-
-class TestWeightDerivative:
-    def test_q1_derivative_is_zero(self):
-        assert_allclose(coefficient_weight_derivative(make_spec(1, 0, "constant"), 1),
-                        [0.0], rtol=0, atol=0)
-
-    def test_rejects_bad_index(self):
-        with pytest.raises(ValueError, match="outside"):
-            coefficient_weight_derivative(make_spec(5, 0, "constant"), 6)
-
-    @pytest.mark.parametrize("q,degree,kind", [(5, 0, "constant"), (5, 0, "quadratic"),
-                                               (7, 2, "triangular"), (9, 4, "quadratic"),
-                                               (7, 3, "quadratic")])
-    def test_matches_central_finite_differences(self, q, degree, kind):
-        spec = make_spec(q, degree, kind)
-        w0 = spec.weight.as_array()
-        for k in range(1, q + 1):
-            analytic = coefficient_weight_derivative(spec, k)
-            h = 1e-6 * w0[k - 1]
-            for sign, store in ((+1, "hi"), (-1, "lo")):
-                w = w0.copy()
-                w[k - 1] += sign * h
-                c = design_coefficients(FilterSpec(q, degree, custom_weights(w))).as_array()
-                if store == "hi":
-                    hi = c
-                else:
-                    lo = c
-            fd = (hi - lo) / (2.0 * h)
-            scale = max(1.0, np.max(np.abs(fd)))
-            assert np.max(np.abs(analytic - fd)) < 1e-6 * scale, (q, degree, kind, k)
 
 
 class TestFilterCoefficientsValidation:

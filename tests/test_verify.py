@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wsavgol.design import orthonormalize_columns
+from wsavgol.design import design, legendre_basis, orthonormalize_columns
+from wsavgol.metrics import smoothing_parameter
 from wsavgol.verify import (
     central_binomial,
     certify,
@@ -25,6 +26,7 @@ from wsavgol.weights import (
     SecondDifferenceMatrix,
     constant_weights,
     quadratic_weights,
+    triangular_weights,
 )
 
 
@@ -84,11 +86,13 @@ class TestGradient:
         assert np.max(np.abs(grad)) > 1e-4
 
     @pytest.mark.parametrize("q,n,kind", [(5, 1, "constant"), (7, 2, "constant"),
-                                          (9, 3, "triangular")])
+                                          (9, 3, "triangular"),
+                                          pytest.param(7, 2, [1.0, 3.0, 2.0, 5.0, 1.0, 4.0, 2.0],
+                                                       id="7-2-asymmetric"),
+                                          (9, 4, "triangular")])
     def test_matches_finite_differences(self, q, n, kind):
-        from wsavgol.weights import triangular_weights
-
-        w0 = (constant_weights(q) if kind == "constant" else triangular_weights(q)).as_array()
+        factories = {"constant": constant_weights, "triangular": triangular_weights}
+        w0 = np.asarray(kind) if isinstance(kind, list) else factories[kind](q).as_array()
         analytic = smoothness_gradient(q, n, w0)
         fd = np.empty(q)
         for k in range(q):
@@ -222,6 +226,28 @@ class TestPerturbation:
         worst = perturbation_minimality(q, n, trials=100, seed=0)
         assert worst >= -1e-12
 
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("q", [5, 9, 15, 31])
+    def test_matches_per_trial_loop(self, q, seed):
+        # reference: one draw and one projection per trial
+        w = quadratic_weights(q).as_array()
+        for n in range(1, (q + 1) // 2):
+            s_opt = smoothness_of_weights(q, n, w)
+            rng = np.random.default_rng(seed)
+            worst = math.inf
+            for _ in range(100):
+                delta = rng.uniform(-1.0, 1.0, size=q)
+                worst = min(worst, smoothness_of_weights(q, n, w * (1.0 + 1e-2 * delta)) - s_opt)
+            assert abs(perturbation_minimality(q, n, seed=seed) - worst) <= 1e-15, n
+
+    @pytest.mark.parametrize("q,n,kind", [(5, 1, "quadratic"), (9, 3, "triangular"),
+                                          pytest.param(7, 2, [1.0, 3.0, 2.0, 5.0, 1.0, 4.0, 2.0],
+                                                       id="7-2-asymmetric")])
+    def test_smoothness_matches_designed_filter(self, q, n, kind):
+        coeffs = design(q, n - 1, kind)
+        assert_allclose(smoothness_of_weights(q, n, coeffs.spec.weight),
+                        smoothing_parameter(coeffs), rtol=1e-13)
+
     def test_epsilon_validation(self):
         with pytest.raises(ValueError, match="epsilon"):
             perturbation_minimality(5, 1, epsilon=1.5)
@@ -254,6 +280,15 @@ class TestCertify:
         assert not rep.passed
         assert rep.perturbation_min_delta < 0.0  # the optimum beats this weighting
 
+    @pytest.mark.parametrize("weights,passes", [(quadratic_weights, True),
+                                                (triangular_weights, False)])
+    def test_custom_weight_report_has_no_hessian(self, weights, passes):
+        rep = certify(9, 3, weight=weights(9))
+        assert rep.min_hessian_eigenvalue is None and rep.hessian_ok is None
+        assert rep.hessian_spectrum == ()
+        assert rep.passed is passes and rep.gradient_ok is passes
+        assert rep.perturbation_ok is passes
+
     def test_report_self_consistency(self):
         rep = certify(9, 2)
         assert rep.gradient_ok == (rep.max_gradient_abs <= 1e-10)
@@ -266,6 +301,23 @@ class TestBasisHelpers:
         cols = np.column_stack([np.ones(4), np.ones(4)])
         with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
             orthonormalize_columns(cols, np.ones(4))
+
+    def test_stack_matches_per_slice_calls(self):
+        cols = legendre_basis(9, 3)
+        stack = np.random.default_rng(4).uniform(0.1, 2.0, size=(2, 3, 9))
+        batched = orthonormalize_columns(cols, stack)
+        assert batched.shape == (2, 3, 9, 4)
+        for idx in np.ndindex(2, 3):
+            assert_allclose(batched[idx], orthonormalize_columns(cols, stack[idx]),
+                            rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_stack_with_one_degenerate_slice_raises(self, slot):
+        # a quadratic fit seen through two samples has a dependent third column
+        stack = np.ones((3, 5))
+        stack[slot] = [1.0, 1e-30, 1e-30, 1e-30, 1.0]
+        with pytest.raises(np.linalg.LinAlgError, match="weight-degenerate"):
+            orthonormalize_columns(legendre_basis(5, 2), stack)
 
     def test_full_power_basis_shape(self):
         # every degree 0..n-1, not the even-only basis of a centered design
