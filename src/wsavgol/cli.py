@@ -1,7 +1,8 @@
 """Command-line interface for designing, auditing and applying filters.
 
 Exit codes: 0 success, 1 computation or verification failure, 2 usage
-or validation error.
+or validation error.  When the reader of stdout closes the pipe early
+(``wsavgol verify ... | head``), the command stops quietly with exit 1.
 """
 
 from __future__ import annotations
@@ -36,7 +37,13 @@ COEFFICIENT_FILE_TOL = 1e-6
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     # LinAlgError subclasses ValueError, so computation failures must be
     # picked off before the validation branch.
     except (np.linalg.LinAlgError, RuntimeError) as exc:
@@ -126,10 +133,21 @@ def _read_weight_file(path: str) -> list[float]:
     return values
 
 
-def _resolve_weight(args, q: int):
+def _resolve_weight(args):
     if getattr(args, "weight_file", None):
         return custom_weights(_read_weight_file(args.weight_file))
     return args.weight
+
+
+def _parse_weight_kinds(text: str) -> list[str]:
+    """Weight kinds of a comma list, or all of them for 'all'; first-seen order, no repeats."""
+    if text.strip() == "all":
+        return list(WEIGHT_CHOICES)
+    kinds = list(dict.fromkeys(k.strip() for k in text.split(",") if k.strip()))
+    for kind in kinds:
+        if kind not in WEIGHT_CHOICES:
+            raise ValueError(f"unknown weight kind {kind!r}")
+    return kinds
 
 
 def _require_odd_window(q) -> int:
@@ -223,7 +241,7 @@ def _load_coefficient_document(path: str) -> FilterCoefficients:
 
 def cmd_design(args) -> int:
     q = _require_odd_window(args.window)
-    coeffs = design_coefficients(make_spec(q, args.degree, _resolve_weight(args, q)))
+    coeffs = design_coefficients(make_spec(q, args.degree, _resolve_weight(args)))
     doc = _coefficient_document(coeffs)
     if args.format == "json":
         _emit(json.dumps(doc, indent=2), args.output)
@@ -270,14 +288,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 def cmd_sweep(args) -> int:
     windows = sorted(set(_parse_int_list(args.windows, "window")))
     degrees = sorted(set(_parse_int_list(args.degrees, "degree")))
-    kinds = (
-        list(WEIGHT_CHOICES)
-        if args.weights.strip() == "all"
-        else [k.strip() for k in args.weights.split(",") if k.strip()]
-    )
-    for kind in kinds:
-        if kind not in WEIGHT_CHOICES:
-            raise ValueError(f"unknown weight kind {kind!r}")
+    kinds = _parse_weight_kinds(args.weights)
     if not windows or not degrees or not kinds:
         raise ValueError("empty sweep grid")
     for q in windows:
@@ -345,6 +356,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_window < 3:
+        raise ValueError(f"--max-window must be at least 3, got {args.max_window}")
     max_q = _require_odd_window(args.max_window)
     if args.max_degree < 0:
         raise ValueError(f"max degree must be >= 0, got {args.max_degree}")
@@ -366,8 +379,6 @@ def cmd_verify(args) -> int:
             continue  # the injected vector only applies to its own window
         for n in range(1, min(args.max_degree + 1, m - 1) + 1):
             reports.append(certify(q, n, seed=args.seed, weight=custom))
-    if not reports:
-        raise ValueError("verification grid is empty; raise --max-window or --max-degree")
 
     all_passed = all(rep.passed for rep in reports)
 
@@ -455,7 +466,7 @@ def cmd_smooth(args) -> int:
         coeffs = _load_coefficient_document(args.coeff_file)
     else:
         q = _require_odd_window(args.window)
-        coeffs = design_coefficients(make_spec(q, args.degree, _resolve_weight(args, q)))
+        coeffs = design_coefficients(make_spec(q, args.degree, _resolve_weight(args)))
 
     signal = SignalSeries.from_iterable(values)
     result = smooth(signal, coeffs, edge=args.edge)
@@ -478,14 +489,9 @@ def cmd_freqresp(args) -> int:
     q = _require_odd_window(args.window)
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
-    kinds = [k.strip() for k in args.weights.split(",") if k.strip()]
-    if args.weights.strip() == "all":
-        kinds = list(WEIGHT_CHOICES)
+    kinds = _parse_weight_kinds(args.weights)
     if not kinds:
         raise ValueError("no weight kinds requested")
-    for kind in kinds:
-        if kind not in WEIGHT_CHOICES:
-            raise ValueError(f"unknown weight kind {kind!r}")
 
     responses = {}
     omega = None

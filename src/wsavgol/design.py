@@ -170,7 +170,7 @@ def orthonormalize_columns(columns: np.ndarray, weight_values: np.ndarray) -> np
     """Weight-orthonormal basis A = V L^{-T}, A'WA = I, with LL' = V'WV.
 
     Column k of A combines columns 0..k of V, as Gram-Schmidt would, so a
-    basis of increasing degree stays one.  Every tap, edge row and
+    basis of increasing degree stays one.  Every tap, edge fit and
     derivative comes from this one factorization.  A stack of weightings,
     shape (..., q), gives the stack of bases, shape (..., q, n), from one
     batched Cholesky and one batched solve.
@@ -214,39 +214,38 @@ def design_coefficients(spec: FilterSpec) -> FilterCoefficients:
     return FilterCoefficients(tuple(c.tolist()), spec)
 
 
-def edge_taps(spec: FilterSpec) -> np.ndarray:
-    """Off-center taps for every edge position of a centered spec.
+def polyfit_edges(spec: FilterSpec, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polyfit outputs at the m-1 samples on each end of a record y of >= q samples.
 
-    Row k holds the taps that evaluate, at index j = k + 1 (first m-1
-    rows) or j = k + 2 (last m-1 rows), the same weighted fit of degree
-    spec.degree over the same window: what :func:`design_coefficients`
-    returns for the spec shifted to j.  They are the off-center rows of
-    one hat matrix W A A', A the full Legendre basis 0..degree.
+    Each end is fitted once, b = A'(w * window), A the full weight-orthonormal
+    Legendre basis 0..spec.degree, and evaluated off center as A[j] b: the
+    outputs of the taps w * (A A[j]) without forming them, in O(q (degree + 1))
+    memory.
 
     Raises:
         ValueError: for a spec that is not center-evaluated, when the
             off-center fit has more columns than the window has samples,
-            or when a row does not sum to one within DC_GAIN_TOL.
+            or when the taps of a row j, A[j] (A'w), do not sum to one
+            within DC_GAIN_TOL.
         numpy.linalg.LinAlgError: if the basis is weight-degenerate.
     """
     if not spec.is_centered:
         raise ValueError("edge taps need a center-evaluated filter")
     q, m = spec.q, spec.m
     if q == 1:
-        return np.empty((0, 1))
+        return np.empty(0), np.empty(0)
     n = spec.degree + 1
     if n > q:
         raise ValueError(f"{n} basis columns exceed window length {q}")
     w = spec.weight.as_array()
     a = orthonormalize_columns(legendre_basis(q, spec.degree), w)
-    edges = np.r_[0 : m - 1, m:q]
-    taps = (a[edges] @ a.T) * w
-    sums = taps.sum(axis=1)
+    sums = a @ (w @ a)
     off = np.abs(sums - 1.0) > DC_GAIN_TOL
     if off.any():
         k = int(np.argmax(off))
-        raise ValueError(f"taps must sum to 1, got {float(sums[k])!r} at j={edges[k] + 1}")
-    return taps
+        raise ValueError(f"taps must sum to 1, got {float(sums[k])!r} at j={k + 1}")
+    head, tail = (w * np.stack((y[:q], y[-q:]))) @ a
+    return a[: m - 1] @ head, a[m:] @ tail
 
 
 def quadratic_weight_constant_fit(q: int) -> FilterCoefficients:

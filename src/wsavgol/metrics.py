@@ -201,9 +201,6 @@ class FrequencyResponse:
     omega: np.ndarray
     magnitude: np.ndarray
 
-    def __iter__(self):
-        return iter(zip(self.omega, self.magnitude))
-
 
 def _dtft_magnitude(taps: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """|sum_k c_k e^{-i w k}| at each frequency w in omega."""

@@ -9,7 +9,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 # design_coefficients is re-exported: callers look it up on this module.
-from .design import FilterCoefficients, design_coefficients, edge_taps  # noqa: F401
+from .design import FilterCoefficients, design_coefficients, polyfit_edges  # noqa: F401
 
 EDGE_POLICIES = ("valid", "mirror", "polyfit")
 
@@ -61,9 +61,10 @@ def smooth(signal: SignalSeries, coeffs: FilterCoefficients, edge: str = "polyfi
 
       valid    drop edge positions; output has length L - q + 1.
       mirror   reflect the signal about its endpoints, output length L.
-      polyfit  apply off-center taps at each edge position (same window,
-               degree and weights, all from one factorization by
-               :func:`~wsavgol.design.edge_taps`), output length L.
+      polyfit  fit the first and last full windows once each (same window,
+               degree and weights) and evaluate each fit at its off-center
+               samples (:func:`~wsavgol.design.polyfit_edges`), output
+               length L.  Memory beyond the signal is O(q (degree + 1)).
 
     mirror and polyfit assume a center-evaluated filter.
     """
@@ -100,17 +101,15 @@ def smooth(signal: SignalSeries, coeffs: FilterCoefficients, edge: str = "polyfi
         out = np.convolve(padded, taps[::-1], mode="valid")
         return SignalSeries(out, signal.abscissa)
 
-    # polyfit: interior by convolution, edges by off-center taps on the
-    # first and last full windows.
+    # polyfit: interior by convolution, edges by the fits of the first and
+    # last full windows.
     if length < q:
         raise ValueError(
             f"insufficient data: polyfit edges need at least {q} samples"
         )
-    edges = edge_taps(spec)
     out = np.empty(length)
-    out[: m - 1] = edges[: m - 1] @ y[:q]
+    out[: m - 1], out[length - (m - 1) :] = polyfit_edges(spec, y)
     out[m - 1 : length - (m - 1)] = np.convolve(y, taps[::-1], mode="valid")
-    out[length - (m - 1) :] = edges[m - 1 :] @ y[-q:]
     return SignalSeries(out, signal.abscissa)
 
 

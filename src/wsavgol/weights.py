@@ -146,11 +146,6 @@ class SecondDifferenceMatrix:
         out[1:] -= v[:-1]
         return out
 
-    @property
-    def ones(self) -> np.ndarray:
-        """The all-ones right-hand side paired with this operator."""
-        return np.ones(self.q)
-
 
 def second_difference_matrix(q: int) -> np.ndarray:
     """Dense q-by-q second-difference operator (2 diagonal, -1 off)."""

@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from exact_fit import exact_float_taps
 from numpy.testing import assert_allclose
 
+import wsavgol
 from wsavgol.cli import main
 from wsavgol.design import make_spec
 
@@ -142,6 +147,13 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--windows", ",", "--degrees", "0")
         assert code == 2
 
+    def test_repeated_weight_kind_counts_once(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--windows", "5", "--degrees", "0",
+                               "--weights", "quadratic,constant,quadratic", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [row[2] for row in rows[1:]] == ["constant", "quadratic"]
+
     def test_bad_grid_syntax(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--windows", "5:9", "--degrees", "0")
         assert code == 2
@@ -220,6 +232,18 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--max-window", "8")
         assert code == 2
 
+    @pytest.mark.parametrize("weight_file", [False, True])
+    def test_max_window_below_three_names_only_max_window(self, capsys, tmp_path,
+                                                          weight_file):
+        argv = ["verify", "--max-window", "1"]
+        if weight_file:
+            path = tmp_path / "w.txt"
+            path.write_text("1.0 2.0 1.0\n")
+            argv += ["--weight-file", str(path)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == "error: --max-window must be at least 3, got 1\n"
+
 
 def _write_csv(path, header, column):
     with open(path, "w", newline="") as fh:
@@ -274,6 +298,27 @@ class TestSmoothCommand:
                                "--window", "5", "--edge", "valid")
         assert code == 2
         assert "insufficient data" in err
+
+    @pytest.mark.parametrize("weight_file,degree,code,message", [
+        # the centered design needs 3 basis columns, the off-center edge fit 6
+        (None, "5", 2, "6 basis columns exceed window length 5"),
+        # two negligible weights leave 3 samples for the edge fit's 4 columns
+        ("1 1e-20 1 1e-20 1", "3", 1, "weight-degenerate"),
+    ])
+    def test_polyfit_edge_fit_failures(self, capsys, tmp_path, weight_file, degree, code,
+                                       message):
+        src = tmp_path / "in.csv"
+        _write_csv(src, ["y"], [str(float(i * i)) for i in range(7)])
+        argv = ["smooth", "--input", str(src), "--column", "y", "--window", "5",
+                "--degree", degree]
+        if weight_file:
+            (tmp_path / "w.txt").write_text(weight_file)
+            argv += ["--weight-file", str(tmp_path / "w.txt")]
+        got, _, err = run_cli(capsys, *argv)
+        assert got == code
+        assert message in err and len(err.splitlines()) == 1
+        got, _, _ = run_cli(capsys, *argv, "--edge", "mirror")
+        assert got == 0
 
     def test_coefficient_file_round_trip(self, capsys, tmp_path):
         coeff_path = tmp_path / "c.json"
@@ -386,6 +431,33 @@ class TestFreqrespCommand:
     def test_unknown_weight_kind(self, capsys):
         code, _, err = run_cli(capsys, "freqresp", "--window", "5", "--weights", "boxcar")
         assert code == 2
+
+    def test_repeated_weight_kind_counts_once(self, capsys):
+        argv = ("freqresp", "--window", "5", "--points", "4",
+                "--weights", "quadratic,constant,quadratic")
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[0] == "omega,quadratic,constant"
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert list(json.loads(out)) == ["omega", "quadratic", "constant"]
+
+
+def test_closed_output_pipe_exits_quietly():
+    # About 1 MB of CSV, far more than a pipe buffers, so the writer meets the closed
+    # pipe.  Unbuffered text stdout drops what a short write leaves instead of raising,
+    # so the child runs with the default buffering.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(wsavgol.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wsavgol.cli", "freqresp", "--window", "25",
+         "--points", "20000", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"omega,")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 1
 
 
 class TestTableOutputRespectsNoColor:

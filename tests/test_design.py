@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from wsavgol.design import (
     FilterSpec,
     design,
     design_coefficients,
-    edge_taps,
     legendre_basis,
     make_spec,
     orthonormalize_columns,
+    polyfit_edges,
     quadratic_weight_constant_fit,
 )
+from wsavgol.smoothing import SignalSeries, smooth
 from wsavgol.weights import constant_weights, custom_weights, quadratic_weights
 
 CLASSIC_Q5_D2 = np.array([-3.0, 12.0, 17.0, 12.0, -3.0]) / 35.0
@@ -191,56 +193,95 @@ class TestDesignCoefficients:
         assert_allclose(c, exact_float_taps(spec), rtol=0, atol=1e-15)
 
 
+def edge_outputs(spec, positions=None):
+    """Polyfit outputs for a unit impulse at each 1-based window position.
+
+    Entry (j - 1, k) is the output at window sample j when the impulse sits
+    at positions[k] of the window: tap positions[k] of the fit evaluated at
+    j.  Rows j < m come from a 2q-sample record with the impulse in its
+    first window, rows j >= m from one with it in its last, so each record
+    end is read with the other end's window empty.
+    """
+    q, m = spec.q, spec.m
+    coeffs = design_coefficients(spec)
+    positions = range(1, q + 1) if positions is None else positions
+    columns = []
+    for i in positions:
+        head, tail = (smooth(SignalSeries(np.eye(1, 2 * q, k)[0]), coeffs, edge="polyfit").values
+                      for k in (i - 1, q + i - 1))
+        columns.append(np.where(np.arange(q) < m - 1, head[:q], tail[q:]))
+    return np.column_stack(columns)
+
+
 class TestEdgeTaps:
+    """Polyfit edge outputs of `smooth`, held to the exact rational fit."""
+
     @pytest.mark.parametrize("q,degree,kind", [(5, 2, "constant"), (25, 4, "quadratic"),
                                                (51, 4, "triangular")])
     def test_every_row_matches_exact_solve(self, q, degree, kind):
         spec = make_spec(q, degree, kind)
-        taps = edge_taps(spec)
-        js = [j for j in range(1, q + 1) if j != spec.m]
-        assert taps.shape == (len(js), q) == (2 * (spec.m - 1), q)
-        for row, j in zip(taps, js):
-            assert_allclose(row, exact_float_taps(spec, j), rtol=0, atol=1e-14,
-                            err_msg=f"j={j}")
+        outputs = edge_outputs(spec)
+        for j in range(1, q + 1):
+            if j != spec.m:
+                assert_allclose(outputs[j - 1], exact_float_taps(spec, j), rtol=0, atol=1e-14,
+                                err_msg=f"j={j}")
 
     def test_published_endpoint_row(self):
-        assert_allclose(edge_taps(make_spec(5, 2, "constant"))[0], ENDPOINT_Q5_D2_J1,
+        assert_allclose(edge_outputs(make_spec(5, 2, "constant"))[0], ENDPOINT_Q5_D2_J1,
                         atol=1e-12)
 
     def test_asymmetric_weights(self):
         spec = make_spec(7, 2, custom_weights(ASYMMETRIC_Q7))
-        js = [1, 2, 3, 5, 6, 7]
-        for row, j in zip(edge_taps(spec), js):
-            assert_allclose(row, exact_float_taps(spec, j), rtol=0, atol=1e-14)
+        outputs = edge_outputs(spec)
+        for j in [1, 2, 3, 5, 6, 7]:
+            assert_allclose(outputs[j - 1], exact_float_taps(spec, j), rtol=0, atol=1e-14)
 
     def test_window_of_one_has_no_edges(self):
-        assert edge_taps(make_spec(1, 0)).shape == (0, 1)
-        assert edge_taps(make_spec(1, 1, "quadratic")).shape == (0, 1)
+        sig = SignalSeries(np.array([1.0, -2.0, 3.5]))
+        for coeffs in (design(1, 0), design(1, 1, "quadratic")):
+            assert np.array_equal(smooth(sig, coeffs, edge="polyfit").values, sig.values)
 
     def test_needs_centered_spec(self):
+        spec = make_spec(5, 2, j=2)
         with pytest.raises(ValueError, match="center-evaluated"):
-            edge_taps(make_spec(5, 2, j=2))
+            smooth(SignalSeries(np.ones(5)), design_coefficients(spec), edge="polyfit")
+        with pytest.raises(ValueError, match="center-evaluated"):
+            polyfit_edges(spec, np.ones(5))
 
     def test_overparameterized_off_center_fit(self):
         # the centered design uses 3 columns; the off-center fit needs 6
         with pytest.raises(ValueError, match="6 basis columns exceed window length 5"):
-            edge_taps(make_spec(5, 5))
+            smooth(SignalSeries(np.ones(5)), design(5, 5), edge="polyfit")
 
     def test_dc_gain_check_fires_on_every_row(self, monkeypatch):
+        coeffs = design(25, 4)
         kernel = design_module.orthonormalize_columns
         monkeypatch.setattr(design_module, "orthonormalize_columns",
                             lambda v, w: kernel(v, w) * (1.0 + 1e-6))
         with pytest.raises(ValueError, match=r"taps must sum to 1, got 1\.000002.* at j=1$"):
-            edge_taps(make_spec(25, 4))
+            smooth(SignalSeries(np.ones(25)), coeffs, edge="polyfit")
 
     @pytest.mark.parametrize("q,degree", [(1001, 40), (4001, 30)])
     def test_large_windows_match_exact_solve(self, q, degree):
         spec = make_spec(q, degree)
-        taps = edge_taps(spec)
         m = spec.m
-        for j, row in [(1, 0), (m + 1, m - 1), (q, 2 * m - 3)]:
-            assert_allclose(taps[row], exact_float_taps(spec, j), rtol=0, atol=1e-14,
-                            err_msg=f"j={j}")
+        positions = [1, 2, q // 4, m, 3 * q // 4, q - 1, q]
+        outputs = edge_outputs(spec, positions)
+        for j in (1, m + 1, q):
+            exact = np.array(exact_float_taps(spec, j))[np.array(positions) - 1]
+            assert_allclose(outputs[j - 1], exact, rtol=0, atol=1e-14, err_msg=f"j={j}")
+
+    def test_memory_is_linear_in_the_window(self):
+        # the full off-center tap matrix would take 4000 x 4001 doubles, 128 MB
+        coeffs = design(4001, 4, "quadratic")
+        sig = SignalSeries(np.random.default_rng(0).standard_normal(20_000))
+        tracemalloc.start()
+        try:
+            smooth(sig, coeffs, edge="polyfit")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, peak
 
 
 class TestOrthonormalRoute:

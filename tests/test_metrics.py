@@ -202,11 +202,6 @@ class TestFrequencyResponse:
         with pytest.raises(ValueError, match=r"\[0, pi\)"):
             stopband_peak([1.0], lower=3.2)
 
-    def test_iteration_yields_pairs(self):
-        pairs = list(frequency_response([1.0], 3))
-        assert len(pairs) == 3
-        assert pairs[0][0] == 0.0
-
 
 class TestEmpiricalRatios:
     def test_deterministic_for_fixed_seed(self):

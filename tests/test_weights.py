@@ -154,9 +154,6 @@ class TestSecondDifferenceMatrix:
         with pytest.raises(ValueError, match="length-3"):
             SecondDifferenceMatrix(3).apply([1.0, 2.0])
 
-    def test_ones_vector(self):
-        assert_allclose(SecondDifferenceMatrix(4).ones, np.ones(4), rtol=0, atol=0)
-
 
 class TestValidation:
     @pytest.mark.parametrize("func", [constant_weights, triangular_weights,
