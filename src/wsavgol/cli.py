@@ -12,7 +12,9 @@ import csv
 import io
 import json
 import os
+import re
 import sys
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,6 +34,12 @@ from .weights import WeightVector, custom_weights
 WEIGHT_CHOICES = ("constant", "triangular", "quadratic")
 # Largest tap gap a coefficient document may show against a fresh design.
 COEFFICIENT_FILE_TOL = 1e-6
+# Fields as csv.writer's default dialect writes them, minus CR and LF: bare
+# unless they hold a `,` or a `"`, then quoted with each `"` doubled.
+_PLAIN_FIELD = r'[^",\r\n]*'
+_QUOTED_FIELD = r'"[^",\r\n]*(?:,|"")[^"\r\n]*(?:""[^"\r\n]*)*"'
+# Lines per block of the canonical check, and records per chunk of `smooth` output.
+CHUNK_RECORDS = 8192
 
 
 def main(argv=None) -> int:
@@ -158,14 +166,37 @@ def _require_odd_window(q) -> int:
     return q
 
 
-def _emit(text: str, path) -> None:
-    if path is None:
+def _write_stdout(text: str) -> None:
+    """Write text to stdout's byte stream, looping until every byte is taken.
+
+    Under ``python -u`` that stream is a raw file whose write may take part
+    of the bytes when the reader closes the pipe; the text layer would drop
+    the rest, while the next raw write raises BrokenPipeError.
+    """
+    sys.stdout.flush()
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # stdout replaced by a text-only stream
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        return
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[out.write(data):]
+
+
+def _write_text(chunks, path) -> None:
+    """Write text chunks to the file at path, or to stdout when path is None."""
+    if path is None:
+        for chunk in chunks:
+            _write_stdout(chunk)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _emit(text: str, path) -> None:
+    if path is None and not text.endswith("\n"):
+        text += "\n"
+    _write_text([text], path)
 
 
 def _use_color() -> bool:
@@ -431,23 +462,71 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
-def cmd_smooth(args) -> int:
+def _read_table(path: str, column: str):
+    """The header, the column as floats and the records to write back.
+
+    The records are the data lines as read when `_is_canonical` proves that
+    csv.writer would write each of them unchanged; the parsed rows are then
+    never kept.  Otherwise they are the non-blank parsed rows, short ones
+    padded with empty cells.
+    """
     try:
-        with open(args.input, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            fieldnames = next(reader, None)
-            rows = [row for row in reader if row]
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read input: {exc}") from None
-    if not fieldnames:
-        raise ValueError(f"input {args.input} has no header row")
-    if args.column not in fieldnames:
-        raise ValueError(f"column {args.column!r} not found; have {fieldnames}")
-    if not rows:
-        raise ValueError(f"input {args.input} has no data rows")
+    reader = csv.reader(lines)
+    try:
+        fieldnames = next(reader, None)
+        if not fieldnames:
+            raise ValueError(f"input {path} has no header row")
+        if column not in fieldnames:
+            raise ValueError(f"column {column!r} not found; have {fieldnames}")
+        col, width = fieldnames.index(column), len(fieldnames)
+        lines = lines[reader.line_num:]
+        copy = _is_canonical(lines, width)
+        if copy:
+            records, rows = lines, None
+            cells = list(map(itemgetter(col), reader))
+        else:
+            records = rows = list(filter(None, reader))
+            cells = list(map(itemgetter(col), rows)) if set(map(len, rows)) == {width} else None
+    except csv.Error as exc:
+        raise ValueError(f"input {path}, line {reader.line_num}: {exc}") from None
+    if not records:
+        raise ValueError(f"input {path} has no data rows")
+    values = None
+    if cells is not None:
+        try:
+            values = np.fromiter(map(float, cells), float, len(cells))
+        except ValueError:
+            pass  # _checked_column names the first bad row
+    if values is None:
+        if rows is None:
+            rows = list(csv.reader(records))
+        values = _checked_column(rows, col, width, column)
+    return fieldnames, values, records, copy
 
-    col = fieldnames.index(args.column)
-    width = len(fieldnames)
+
+def _is_canonical(lines, width: int) -> bool:
+    """True when csv.writer, default dialect, would write every one of lines as it stands.
+
+    That dialect ends records with CRLF and quotes a field exactly when it
+    holds a `,`, a `"`, CR or LF, doubling each `"`.  A field holding CR or
+    LF is not proven, and neither is a blank line or a row of another width.
+    """
+    field = f"(?:{_QUOTED_FIELD}|{_PLAIN_FIELD})"
+    record = re.compile(rf"(?m)^(?!\r\n){field}(?:,{field}){{{width - 1}}}\r\n")
+    # A match is one whole line, so a block of lines is all records when
+    # nothing is left over.  Matches start only at line starts, which keeps a
+    # failing block linear; the blocks stop at the first that fails.  (One
+    # repeated pattern over the whole text keeps state for every line.)
+    return all(record.sub("", "".join(lines[i:i + CHUNK_RECORDS])) == ""
+               for i in range(0, len(lines), CHUNK_RECORDS))
+
+
+def _checked_column(rows, col: int, width: int, name: str) -> np.ndarray:
+    """The column as floats, row by row, naming the first bad row; short rows are padded."""
     values = np.empty(len(rows))
     for i, row in enumerate(rows):
         if len(row) > width:
@@ -457,11 +536,36 @@ def cmd_smooth(args) -> int:
             values[i] = float(cell)
         except (TypeError, ValueError):
             raise RuntimeError(
-                f"row {i + 1}: non-numeric value {cell!r} in column {args.column!r}"
+                f"row {i + 1}: non-numeric value {cell!r} in column {name!r}"
             ) from None
-        # short rows are written back padded with empty cells
         row.extend([""] * (width - len(row)))
+    return values
 
+
+def _smoothed_csv(header, records, smoothed, copy: bool):
+    """The output text in chunks: the header by csv.writer, then each record.
+
+    With copy, records are the input lines, each ending in CRLF, and the
+    smoothed cell is spliced in before it; otherwise records are rows that
+    csv.writer writes.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    yield buf.getvalue()
+    for i in range(0, len(records), CHUNK_RECORDS):
+        part = zip(records[i:i + CHUNK_RECORDS], smoothed[i:i + CHUNK_RECORDS])
+        if copy:
+            yield "".join([line[:-2] + "," + cell + "\r\n" for line, cell in part])
+        else:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerows(row + [cell] for row, cell in part)
+            yield buf.getvalue()
+
+
+def cmd_smooth(args) -> int:
+    fieldnames, values, records, copy = _read_table(args.input, args.column)
     if args.coeff_file:
         coeffs = _load_coefficient_document(args.coeff_file)
     else:
@@ -475,13 +579,10 @@ def cmd_smooth(args) -> int:
     smoothed = list(map(repr, result.values.tolist()))
     if args.edge == "valid":
         offset = coeffs.spec.evaluation_index - 1
-        smoothed = [""] * offset + smoothed + [""] * (len(rows) - offset - len(smoothed))
+        smoothed = [""] * offset + smoothed + [""] * (len(values) - offset - len(smoothed))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(fieldnames + [f"{args.column}_smoothed"])
-    writer.writerows(row + [sm] for row, sm in zip(rows, smoothed))
-    _emit(buf.getvalue(), args.output)
+    header = fieldnames + [f"{args.column}_smoothed"]
+    _write_text(_smoothed_csv(header, records, smoothed, copy), args.output)
     return 0
 
 

@@ -442,22 +442,44 @@ class TestFreqrespCommand:
         assert list(json.loads(out)) == ["omega", "quadratic", "constant"]
 
 
-def test_closed_output_pipe_exits_quietly():
-    # About 1 MB of CSV, far more than a pipe buffers, so the writer meets the closed
-    # pipe.  Unbuffered text stdout drops what a short write leaves instead of raising,
-    # so the child runs with the default buffering.
+def _run_into_closed_pipe(argv, unbuffered: bool):
+    """Run the CLI in a child, close its stdout after one line: (line, exit code, stderr)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(wsavgol.__file__).parents[1])
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "wsavgol.cli", "freqresp", "--window", "25",
-         "--points", "20000", "--format", "csv"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline().startswith(b"omega,")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "wsavgol.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
+    return first, proc.returncode, err
+
+
+# About 1 MB of CSV, far more than a pipe buffers, so the writer meets the closed pipe.
+FREQRESP_CSV = ["freqresp", "--window", "25", "--points", "20000", "--format", "csv"]
+
+
+def test_closed_output_pipe_exits_quietly():
+    first, code, err = _run_into_closed_pipe(FREQRESP_CSV, unbuffered=False)
+    assert first.startswith(b"omega,")
     assert err == b""
-    assert proc.returncode == 1
+    assert code == 1
+
+
+@pytest.mark.parametrize("command", ["freqresp", "smooth"])
+def test_closed_unbuffered_pipe_exits_quietly(tmp_path, command):
+    # Unbuffered stdout is a raw file: a write the closed pipe cuts short
+    # must be retried, so that the next write raises BrokenPipeError.
+    argv = FREQRESP_CSV
+    if command == "smooth":
+        src = tmp_path / "in.csv"
+        _write_csv(src, ["t", "y"], [[i, repr(float(np.sin(i / 7.0)))] for i in range(40000)])
+        argv = ["smooth", "--input", str(src), "--column", "y", "--window", "5"]
+    first, code, err = _run_into_closed_pipe(argv, unbuffered=True)
+    assert first.startswith(b"omega," if command == "freqresp" else b"t,y,y_smoothed")
+    assert err == b""
+    assert code == 1
 
 
 class TestTableOutputRespectsNoColor:
