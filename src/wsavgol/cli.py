@@ -38,6 +38,24 @@ COEFFICIENT_FILE_TOL = 1e-6
 # unless they hold a `,` or a `"`, then quoted with each `"` doubled.
 _PLAIN_FIELD = r'[^",\r\n]*'
 _QUOTED_FIELD = r'"[^",\r\n]*(?:,|"")[^"\r\n]*(?:""[^"\r\n]*)*"'
+# The columns of a sweep record as JSON keys; the csv and table headers
+# spell `_over_` as `/` and `_` as a space.
+SWEEP_KEYS = ("q", "degree", "weight", "r", "s",
+              "r0_over_r2", "s0_over_s2", "s0_over_s1",
+              "approx_r0_over_r2", "approx_s0_over_s2", "approx_s0_over_s1",
+              "err_r0_over_r2", "err_s0_over_s2", "err_s0_over_s1")
+# The VerificationReport attributes of a verify JSON report, in order.
+VERIFY_JSON_FIELDS = ("q", "n", "max_gradient_abs", "min_hessian_eigenvalue",
+                      "perturbation_min_delta", "max_eigenvalue_rel_error",
+                      "orthonormality_error", "eigen_relation_error",
+                      "lambda_min_observed", "lambda_min_formula", "passed")
+# The columns of the verify table as (header, VerificationReport attribute);
+# a status column follows them.
+VERIFY_TABLE_COLUMNS = (("q", "q"), ("n", "n"), ("max|grad|", "max_gradient_abs"),
+                        ("min eig(H)", "min_hessian_eigenvalue"),
+                        ("min pert ds", "perturbation_min_delta"),
+                        ("eig err", "max_eigenvalue_rel_error"),
+                        ("lambda_min", "lambda_min_observed"), ("formula", "lambda_min_formula"))
 # Lines per block of the canonical check, and records per chunk of `smooth` output.
 CHUNK_RECORDS = 8192
 
@@ -54,8 +72,8 @@ def main(argv=None) -> int:
         return 1
     # LinAlgError subclasses ValueError, so computation failures must be
     # picked off before the validation branch.
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (np.linalg.LinAlgError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -189,7 +207,11 @@ def _write_text(chunks, path) -> None:
         for chunk in chunks:
             _write_stdout(chunk)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ValueError(f"cannot write output: {exc}") from None
+        with fh:
             fh.writelines(chunks)
 
 
@@ -199,26 +221,42 @@ def _emit(text: str, path) -> None:
     _write_text([text], path)
 
 
-def _use_color() -> bool:
-    return sys.stdout.isatty() and "NO_COLOR" not in os.environ
+def _use_color(path) -> bool:
+    """Colour text only on its way to a terminal on stdout, and only without NO_COLOR."""
+    return path is None and sys.stdout.isatty() and "NO_COLOR" not in os.environ
 
 
-def _status(ok: bool) -> str:
+def _status(ok: bool, color: bool) -> str:
     word = "PASS" if ok else "FAIL"
-    if _use_color():
+    if color:
         return f"\x1b[32m{word}\x1b[0m" if ok else f"\x1b[31m{word}\x1b[0m"
     return word
 
 
-def _render_table(headers, rows) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+def _rows_text(fmt: str, headers, rows, spec="") -> str:
+    """Rows under headers, as CSV when fmt is "csv", else as an aligned table.
+
+    CSV writes a float as repr(float(v)), the shortest round trip, and any
+    other cell as csv.writer does.  The table writes a float as
+    format(v, spec), spec being one format for every column or one per
+    column, None as `-` and any other cell as str.
+    """
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(headers)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+        return buf.getvalue()
+    specs = [spec] * len(headers) if isinstance(spec, str) else spec
+    cells = [headers] + [
+        ["-" if v is None else format(v, s) if isinstance(v, float) else str(v)
+         for v, s in zip(row, specs)]
+        for row in rows
+    ]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
 
 
@@ -274,26 +312,19 @@ def cmd_design(args) -> int:
     q = _require_odd_window(args.window)
     coeffs = design_coefficients(make_spec(q, args.degree, _resolve_weight(args)))
     doc = _coefficient_document(coeffs)
+    headers = ["index", "weight", "coefficient"]
+    rows = [[i, w, c] for i, (w, c) in enumerate(zip(doc["weights"], doc["coefficients"]), 1)]
     if args.format == "json":
-        _emit(json.dumps(doc, indent=2), args.output)
+        text = json.dumps(doc, indent=2)
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["index", "weight", "coefficient", "r", "s"])
-        for i, (w, c) in enumerate(zip(doc["weights"], doc["coefficients"]), start=1):
-            writer.writerow([i, repr(w), repr(c), repr(doc["r"]), repr(doc["s"])])
-        _emit(buf.getvalue(), args.output)
+        text = _rows_text("csv", headers + ["r", "s"], [row + [doc["r"], doc["s"]] for row in rows])
     else:
-        rows = [
-            [str(i), f"{w:.6g}", f"{c:.6f}"]
-            for i, (w, c) in enumerate(zip(doc["weights"], doc["coefficients"]), start=1)
-        ]
         text = (
             f"q={doc['q']} degree={doc['degree']} weight={doc['weight_kind']}\n"
-            + _render_table(["index", "weight", "coefficient"], rows)
+            + _rows_text("table", headers, rows, ("", ".6g", ".6f"))
             + f"r = {doc['r']:.6f}\ns = {doc['s']:.6f}\n"
         )
-        _emit(text, args.output)
+    _emit(text, args.output)
     return 0
 
 
@@ -325,13 +356,7 @@ def cmd_sweep(args) -> int:
     for q in windows:
         _require_odd_window(q)
 
-    headers = [
-        "q", "degree", "weight", "r", "s",
-        "r0/r2", "s0/s2", "s0/s1",
-        "approx r0/r2", "approx s0/s2", "approx s0/s1",
-        "err r0/r2", "err s0/s2", "err s0/s1",
-    ]
-    records = []
+    rows = []
     for q in windows:
         for degree in degrees:
             n = degree // 2 + 1
@@ -342,47 +367,20 @@ def cmd_sweep(args) -> int:
                 ap_r, ap_s02 = ma.r0_over_r2, ma.s0_over_s2
             else:
                 ap_r, ap_s02 = gen.r0_over_r2, gen.s0_over_s2
-            ap_s01 = gen.s0_over_s1
-            shared = {
-                "r0_over_r2": ex.r0_over_r2,
-                "s0_over_s2": ex.s0_over_s2,
-                "s0_over_s1": ex.s0_over_s1,
-                "approx_r0_over_r2": ap_r,
-                "approx_s0_over_s2": ap_s02,
-                "approx_s0_over_s1": ap_s01,
-                "err_r0_over_r2": (ap_r - ex.r0_over_r2) / ex.r0_over_r2,
-                "err_s0_over_s2": (ap_s02 - ex.s0_over_s2) / ex.s0_over_s2,
-                "err_s0_over_s1": (ap_s01 - ex.s0_over_s1) / ex.s0_over_s1,
-            }
+            exact = (ex.r0_over_r2, ex.s0_over_s2, ex.s0_over_s1)
+            approx = (ap_r, ap_s02, gen.s0_over_s1)
+            errs = [(a - e) / e for a, e in zip(approx, exact)]
             per_kind = {"constant": (ex.r0, ex.s0), "triangular": (ex.r1, ex.s1),
                         "quadratic": (ex.r2, ex.s2)}
             for kind in sorted(kinds):
-                r, s = per_kind[kind]
-                records.append({"q": q, "degree": degree, "weight": kind,
-                                "r": r, "s": s, **shared})
+                rows.append([q, degree, kind, *per_kind[kind], *exact, *approx, *errs])
 
     if args.format == "json":
-        _emit(json.dumps(records, indent=2), args.output)
-        return 0
-    key_order = ["q", "degree", "weight", "r", "s",
-                 "r0_over_r2", "s0_over_s2", "s0_over_s1",
-                 "approx_r0_over_r2", "approx_s0_over_s2", "approx_s0_over_s1",
-                 "err_r0_over_r2", "err_s0_over_s2", "err_s0_over_s1"]
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(headers)
-        for rec in records:
-            writer.writerow([rec["q"], rec["degree"], rec["weight"]]
-                            + [repr(rec[k]) for k in key_order[3:]])
-        _emit(buf.getvalue(), args.output)
-        return 0
-    rows = [
-        [str(rec["q"]), str(rec["degree"]), rec["weight"]]
-        + [f"{rec[k]:.6g}" for k in key_order[3:]]
-        for rec in records
-    ]
-    _emit(_render_table(headers, rows), args.output)
+        text = json.dumps([dict(zip(SWEEP_KEYS, row)) for row in rows], indent=2)
+    else:
+        headers = [key.replace("_over_", "/").replace("_", " ") for key in SWEEP_KEYS]
+        text = _rows_text(args.format, headers, rows, ".6g")
+    _emit(text, args.output)
     return 0
 
 
@@ -414,51 +412,24 @@ def cmd_verify(args) -> int:
     all_passed = all(rep.passed for rep in reports)
 
     if args.format == "json":
-        payload = {
+        text = json.dumps({
             "passed": all_passed,
             "tw_eigenvalues": {str(q): list(e) for q, e in eigen_lines},
-            "reports": [
-                {
-                    "q": rep.q,
-                    "n": rep.n,
-                    "max_gradient_abs": rep.max_gradient_abs,
-                    "min_hessian_eigenvalue": rep.min_hessian_eigenvalue,
-                    "perturbation_min_delta": rep.perturbation_min_delta,
-                    "max_eigenvalue_rel_error": rep.max_eigenvalue_rel_error,
-                    "orthonormality_error": rep.orthonormality_error,
-                    "eigen_relation_error": rep.eigen_relation_error,
-                    "lambda_min_observed": rep.lambda_min_observed,
-                    "lambda_min_formula": rep.lambda_min_formula,
-                    "passed": rep.passed,
-                }
-                for rep in reports
-            ],
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-        return 0 if all_passed else 1
-
-    def fmt(value) -> str:
-        return "-" if value is None else f"{value:.3e}"
-
-    rows = [
-        [str(rep.q), str(rep.n), fmt(rep.max_gradient_abs),
-         fmt(rep.min_hessian_eigenvalue), fmt(rep.perturbation_min_delta),
-         fmt(rep.max_eigenvalue_rel_error), fmt(rep.lambda_min_observed),
-         fmt(rep.lambda_min_formula), _status(rep.passed)]
-        for rep in reports
-    ]
-    lines = []
-    for q, eig in eigen_lines:
-        shown = ", ".join(f"{v:.10g}" for v in eig)
-        lines.append(f"TW eigenvalues (q={q}): {shown}")
-    table = _render_table(
-        ["q", "n", "max|grad|", "min eig(H)", "min pert ds",
-         "eig err", "lambda_min", "formula", "status"],
-        rows,
-    )
-    failing = [(rep.q, rep.n) for rep in reports if not rep.passed]
-    summary = "all checks passed" if all_passed else f"FAILED at (q, n): {failing}"
-    _emit("\n".join(lines) + ("\n" if lines else "") + table + summary + "\n", args.output)
+            "reports": [{f: getattr(rep, f) for f in VERIFY_JSON_FIELDS} for rep in reports],
+        }, indent=2)
+    else:
+        color = _use_color(args.output)
+        rows = [[getattr(rep, a) for _, a in VERIFY_TABLE_COLUMNS] + [_status(rep.passed, color)]
+                for rep in reports]
+        headers = [h for h, _ in VERIFY_TABLE_COLUMNS] + ["status"]
+        failing = [(rep.q, rep.n) for rep in reports if not rep.passed]
+        text = (
+            "".join(f"TW eigenvalues (q={q}): " + ", ".join(f"{v:.10g}" for v in eig) + "\n"
+                    for q, eig in eigen_lines)
+            + _rows_text("table", headers, rows, ".3e")
+            + ("all checks passed" if all_passed else f"FAILED at (q, n): {failing}") + "\n"
+        )
+    _emit(text, args.output)
     return 0 if all_passed else 1
 
 
@@ -605,21 +576,10 @@ def cmd_freqresp(args) -> int:
     if args.format == "json":
         payload = {"omega": list(omega)}
         payload.update({k: list(v) for k, v in responses.items()})
-        _emit(json.dumps(payload, indent=2), args.output)
-        return 0
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["omega"] + kinds)
-        for i in range(len(omega)):
-            writer.writerow([repr(float(omega[i]))] + [repr(float(responses[k][i])) for k in kinds])
-        _emit(buf.getvalue(), args.output)
-        return 0
-    rows = [
-        [f"{omega[i]:.6f}"] + [f"{responses[k][i]:.6f}" for k in kinds]
-        for i in range(len(omega))
-    ]
-    _emit(_render_table(["omega"] + kinds, rows), args.output)
+        text = json.dumps(payload, indent=2)
+    else:
+        text = _rows_text(args.format, ["omega"] + kinds, zip(omega, *responses.values()), ".6f")
+    _emit(text, args.output)
     return 0
 
 

@@ -12,6 +12,7 @@ from exact_fit import exact_float_taps
 from numpy.testing import assert_allclose
 
 import wsavgol
+from wsavgol import cli
 from wsavgol.cli import main
 from wsavgol.design import make_spec
 
@@ -488,3 +489,49 @@ class TestTableOutputRespectsNoColor:
         code, out, _ = run_cli(capsys, "verify", "--max-window", "3")
         assert code == 0
         assert "\x1b[" not in out
+
+    def test_color_only_on_a_terminal_stdout(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        argv = ("verify", "--max-window", "5", "--format", "table")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "\x1b[32mPASS\x1b[0m" in out
+        path = tmp_path / "v.txt"
+        code, out, _ = run_cli(capsys, *argv, "--output", str(path))
+        assert code == 0 and out == ""
+        text = path.read_text()
+        assert "PASS" in text and "\x1b" not in text
+
+
+UNWRITABLE_OUTPUT_COMMANDS = {
+    "design": ["design", "--window", "5"],
+    "sweep": ["sweep", "--windows", "5"],
+    "verify": ["verify", "--max-window", "3"],
+    "freqresp": ["freqresp", "--window", "5"],
+    "smooth": ["smooth", "--column", "y", "--window", "5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_OUTPUT_COMMANDS))
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, command):
+    argv = UNWRITABLE_OUTPUT_COMMANDS[command]
+    if command == "smooth":
+        src = tmp_path / "in.csv"
+        _write_csv(src, ["y"], [float(i) for i in range(10)])
+        argv = argv + ["--input", str(src)]
+    path = tmp_path / "missing" / "o.txt"
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output: ") and str(path) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 14.9 GiB for an array", ""])
+def test_out_of_memory_is_a_computation_failure(capsys, monkeypatch, message):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "frequency_response", exhausted)
+    code, out, err = run_cli(capsys, "freqresp", "--window", "401", "--points", "5000000")
+    assert code == 1 and out == ""
+    assert err == f"error: {message or 'MemoryError'}\n"
