@@ -226,11 +226,17 @@ def _use_color(path) -> bool:
     return path is None and sys.stdout.isatty() and "NO_COLOR" not in os.environ
 
 
-def _status(ok: bool, color: bool) -> str:
-    word = "PASS" if ok else "FAIL"
-    if color:
-        return f"\x1b[32m{word}\x1b[0m" if ok else f"\x1b[31m{word}\x1b[0m"
-    return word
+def _status(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _color_status(table: str) -> str:
+    """The laid-out table with the PASS or FAIL that ends a row in green or red.
+
+    Colouring after layout keeps the escape codes out of the column widths.
+    """
+    return re.sub(r"(?m)(PASS|FAIL)$",
+                  lambda s: f"\x1b[{32 if s[1] == 'PASS' else 31}m{s[1]}\x1b[0m", table)
 
 
 def _rows_text(fmt: str, headers, rows, spec="") -> str:
@@ -418,15 +424,15 @@ def cmd_verify(args) -> int:
             "reports": [{f: getattr(rep, f) for f in VERIFY_JSON_FIELDS} for rep in reports],
         }, indent=2)
     else:
-        color = _use_color(args.output)
-        rows = [[getattr(rep, a) for _, a in VERIFY_TABLE_COLUMNS] + [_status(rep.passed, color)]
+        rows = [[getattr(rep, a) for _, a in VERIFY_TABLE_COLUMNS] + [_status(rep.passed)]
                 for rep in reports]
         headers = [h for h, _ in VERIFY_TABLE_COLUMNS] + ["status"]
+        table = _rows_text("table", headers, rows, ".3e")
         failing = [(rep.q, rep.n) for rep in reports if not rep.passed]
         text = (
             "".join(f"TW eigenvalues (q={q}): " + ", ".join(f"{v:.10g}" for v in eig) + "\n"
                     for q, eig in eigen_lines)
-            + _rows_text("table", headers, rows, ".3e")
+            + (_color_status(table) if _use_color(args.output) else table)
             + ("all checks passed" if all_passed else f"FAILED at (q, n): {failing}") + "\n"
         )
     _emit(text, args.output)

@@ -134,6 +134,8 @@ class FilterCoefficients:
             raise ValueError(
                 f"expected {self.spec.q} taps, got {c.shape[0] if c.ndim == 1 else c.shape}"
             )
+        if not np.isfinite(c).all():
+            raise ValueError("taps must be finite")
         if abs(c.sum() - 1.0) > DC_GAIN_TOL:
             raise ValueError(f"taps must sum to 1, got {c.sum()!r}")
         if self.spec.even_basis:

@@ -59,58 +59,45 @@ def smooth(signal: SignalSeries, coeffs: FilterCoefficients, edge: str = "polyfi
     Interior outputs are always the exact tap/window dot products.  The
     policies differ in what happens near the record ends:
 
-      valid    drop edge positions; output has length L - q + 1.
-      mirror   reflect the signal about its endpoints, output length L.
-      polyfit  fit the first and last full windows once each (same window,
-               degree and weights) and evaluate each fit at its off-center
-               samples (:func:`~wsavgol.design.polyfit_edges`), output
-               length L.  Memory beyond the signal is O(q (degree + 1)).
+      policy   L >=  output
+      valid    q     drop edge positions; output has length L - q + 1.
+      mirror   m     reflect the signal about its endpoints, output length L.
+      polyfit  q     fit the first and last full windows once each (same
+                     window, degree and weights) and evaluate each fit at its
+                     off-center samples (:func:`~wsavgol.design.polyfit_edges`),
+                     output length L.  Memory beyond the signal is O(q (degree + 1)).
 
     mirror and polyfit assume a center-evaluated filter.
+
+    Raises:
+        ValueError: for an unknown policy, an off-center filter under
+            mirror or polyfit, or a record shorter than the policy needs.
+        RuntimeError: when a smoothed sample overflows the float range.
     """
     if edge not in EDGE_POLICIES:
         raise ValueError(f"unknown edge policy {edge!r}; expected one of {EDGE_POLICIES}")
-    y = signal.as_array()
-    taps = coeffs.as_array()
     spec = coeffs.spec
-    q = spec.q
-    length = y.size
-
-    if edge == "valid":
-        if length < q:
-            raise ValueError(
-                f"insufficient data: {length} samples with a {q}-sample window"
-            )
-        out = np.convolve(y, taps[::-1], mode="valid")
-        absc = None
-        if signal.abscissa is not None:
-            j0 = spec.evaluation_index - 1
-            absc = signal.abscissa[j0 : j0 + out.size]
-        return SignalSeries(out, absc)
-
-    if not spec.is_centered:
+    if edge != "valid" and not spec.is_centered:
         raise ValueError(f"edge policy {edge!r} needs a center-evaluated filter")
-    m = spec.m
-
-    if edge == "mirror":
-        if length < m:
-            raise ValueError(
-                f"insufficient data: mirror padding needs at least {m} samples"
-            )
-        padded = np.pad(y, (m - 1, m - 1), mode="reflect")
-        out = np.convolve(padded, taps[::-1], mode="valid")
-        return SignalSeries(out, signal.abscissa)
-
-    # polyfit: interior by convolution, edges by the fits of the first and
-    # last full windows.
-    if length < q:
-        raise ValueError(
-            f"insufficient data: polyfit edges need at least {q} samples"
-        )
-    out = np.empty(length)
-    out[: m - 1], out[length - (m - 1) :] = polyfit_edges(spec, y)
-    out[m - 1 : length - (m - 1)] = np.convolve(y, taps[::-1], mode="valid")
-    return SignalSeries(out, signal.abscissa)
+    y = signal.as_array()
+    need = spec.m if edge == "mirror" else spec.q
+    if y.size < need:
+        raise ValueError(f"insufficient data: {edge} needs at least {need} samples, got {y.size}")
+    padded = np.pad(y, spec.m - 1, mode="reflect") if edge == "mirror" else y
+    # Finite samples near the float limit can overflow; that is reported
+    # once below, as a failed computation rather than as bad input.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.convolve(padded, coeffs.as_array()[::-1], mode="valid")
+        if edge == "polyfit":
+            head, tail = polyfit_edges(spec, y)
+            out = np.concatenate((head, out, tail))
+    if not np.isfinite(out).all():
+        raise RuntimeError("smoothing overflowed: the smoothed signal exceeds the float range")
+    absc = signal.abscissa
+    if edge == "valid" and absc is not None:
+        j0 = spec.evaluation_index - 1
+        absc = absc[j0 : j0 + out.size]
+    return SignalSeries(out, absc)
 
 
 def stream_smooth(source: Iterable[float], coeffs: FilterCoefficients) -> Iterator[float]:

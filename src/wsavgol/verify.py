@@ -183,12 +183,10 @@ def split_null_spectrum(spectrum: np.ndarray, n: int):
 
 
 def central_binomial(q: int) -> float:
-    """Binomial(2q, q) as a float, exact for q <= 30, else via lgamma."""
+    """Binomial(2q, q) as the correctly rounded float of the exact integer."""
     if q < 0:
         raise ValueError(f"need q >= 0, got {q}")
-    if q <= 30:
-        return float(math.comb(2 * q, q))
-    return math.exp(math.lgamma(2 * q + 1) - 2.0 * math.lgamma(q + 1))
+    return float(math.comb(2 * q, q))
 
 
 def lambda_min_formula(q: int, n: int) -> float:

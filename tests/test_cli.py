@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -321,6 +322,21 @@ class TestSmoothCommand:
         got, _, _ = run_cli(capsys, *argv, "--edge", "mirror")
         assert got == 0
 
+    @pytest.mark.parametrize("edge", ["valid", "mirror", "polyfit"])
+    def test_overflowing_column_is_a_computation_failure(self, tmp_path, edge):
+        src = tmp_path / "in.csv"
+        _write_csv(src, ["y"], ["1.7e308"] * 40)
+        proc = subprocess.run(
+            [sys.executable, "-m", "wsavgol.cli", "smooth", "--input", str(src),
+             "--column", "y", "--window", "25", "--degree", "4", "--weight", "quadratic",
+             "--edge", edge],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(wsavgol.__file__).parents[1])},
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "overflow" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and "Warning" not in proc.stderr
+
     def test_coefficient_file_round_trip(self, capsys, tmp_path):
         coeff_path = tmp_path / "c.json"
         code, _, _ = run_cli(capsys, "design", "--window", "5", "--degree", "2",
@@ -381,6 +397,13 @@ class TestSmoothCommand:
         code, _, err = self._smooth_with_document(capsys, tmp_path, doc)
         assert code == 2
         assert "malformed field" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_coefficient_file_non_finite_tap(self, capsys, tmp_path, bad):
+        doc = self._moving_average_document([0.2, 0.2, bad, 0.2, 0.2])
+        code, _, err = self._smooth_with_document(capsys, tmp_path, doc)
+        assert code == 2
+        assert err == "error: taps must be finite\n"
 
     def test_coefficient_file_integral_floats_load(self, capsys, tmp_path):
         doc = {**self._moving_average_document([0.2] * 5), "q": 5.0, "degree": 0.0}
@@ -502,6 +525,16 @@ class TestTableOutputRespectsNoColor:
         text = path.read_text()
         assert "PASS" in text and "\x1b" not in text
 
+
+    def test_color_leaves_the_layout_alone(self, capsys, monkeypatch):
+        argv = ("verify", "--max-window", "3")
+        monkeypatch.setenv("NO_COLOR", "1")
+        _, plain, _ = run_cli(capsys, *argv)
+        monkeypatch.delenv("NO_COLOR")
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        _, colored, _ = run_cli(capsys, *argv)
+        assert "\x1b[32mPASS\x1b[0m" in colored
+        assert re.sub(r"\x1b\[\d+m", "", colored) == plain
 
 UNWRITABLE_OUTPUT_COMMANDS = {
     "design": ["design", "--window", "5"],

@@ -360,6 +360,12 @@ class TestFilterCoefficientsValidation:
         with pytest.raises(ValueError, match="expected 3 taps"):
             FilterCoefficients((1.0,), make_spec(3, 0, "constant"))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_taps(self, bad):
+        # a NaN tap makes every later comparison false, so it must be caught first
+        with pytest.raises(ValueError, match="finite"):
+            FilterCoefficients((0.2, 0.2, bad, 0.2, 0.2), make_spec(5, 0))
+
     def test_asymmetric_weights_allow_asymmetric_taps(self):
         spec = FilterSpec(q=3, degree=0, weight=custom_weights([1.0, 1.0, 2.0]))
         c = design_coefficients(spec)

@@ -186,6 +186,19 @@ class TestAlgebraicProperties:
             smooth(SignalSeries.from_iterable(range(9)), design(5, 0, "constant"),
                    edge="wrap")
 
+    @pytest.mark.parametrize("edge,need", [("valid", 5), ("mirror", 3), ("polyfit", 5)])
+    def test_one_short_input_message(self, edge, need):
+        with pytest.raises(ValueError) as err:
+            smooth(SignalSeries.from_iterable([1.0, 2.0]), design(5, 0, "constant"), edge=edge)
+        assert str(err.value) == f"insufficient data: {edge} needs at least {need} samples, got 2"
+
+    @pytest.mark.parametrize("edge", ["valid", "mirror", "polyfit"])
+    def test_overflow_is_a_computation_failure(self, edge):
+        # every sample is finite; the degree-4 taps' partial sums are not
+        with pytest.raises(RuntimeError, match="overflow"):
+            smooth(SignalSeries.from_iterable([1.7e308] * 40), design(25, 4, "quadratic"),
+                   edge=edge)
+
     def test_variance_reduction_matches_r(self):
         coeffs = design(9, 2, "quadratic")
         r = error_reduction_ratio(coeffs)

@@ -220,6 +220,10 @@ class TestCentralBinomial:
         assert central_binomial(40) > central_binomial(31) > 0.0
 
 
+    @pytest.mark.parametrize("q", [31, 40, 100, 511])
+    def test_correctly_rounded_beyond_thirty(self, q):
+        assert central_binomial(q) == float(math.comb(2 * q, q))
+
 class TestPerturbation:
     @pytest.mark.parametrize("q,n", [(5, 1), (9, 2), (13, 3)])
     def test_random_perturbations_never_reduce_smoothness(self, q, n):
