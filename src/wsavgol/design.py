@@ -16,6 +16,7 @@ import numpy as np
 
 from .weights import (
     WeightVector,
+    _unit_scaled,
     constant_weights,
     custom_weights,
     quadratic_weights,
@@ -137,7 +138,7 @@ class FilterCoefficients:
         if not np.isfinite(c).all():
             raise ValueError("taps must be finite")
         if abs(c.sum() - 1.0) > DC_GAIN_TOL:
-            raise ValueError(f"taps must sum to 1, got {c.sum()!r}")
+            raise ValueError(f"taps must sum to 1, got {float(c.sum())!r}")
         if self.spec.even_basis:
             asym = np.max(np.abs(c - c[::-1]))
             if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(c))):
@@ -175,7 +176,8 @@ def orthonormalize_columns(columns: np.ndarray, weight_values: np.ndarray) -> np
     basis of increasing degree stays one.  Every tap, edge fit and
     derivative comes from this one factorization.  A stack of weightings,
     shape (..., q), gives the stack of bases, shape (..., q, n), from one
-    batched Cholesky and one batched solve.
+    batched Cholesky and one batched solve.  The weights are first scaled
+    by an even power of two to a largest entry near 1, and A scaled back.
 
     Raises:
         numpy.linalg.LinAlgError: if the columns are linearly dependent
@@ -185,6 +187,7 @@ def orthonormalize_columns(columns: np.ndarray, weight_values: np.ndarray) -> np
     v = np.asarray(columns, dtype=float)
     if w.shape[-1:] != (v.shape[0],):
         raise ValueError("weight vector does not match basis rows")
+    w, k = _unit_scaled(w)
     g = v.T @ (w[..., :, None] * v)
     try:
         lo = np.linalg.cholesky(g)
@@ -193,7 +196,8 @@ def orthonormalize_columns(columns: np.ndarray, weight_values: np.ndarray) -> np
         degenerate = True
     if degenerate:
         raise np.linalg.LinAlgError("basis columns are weight-degenerate; cannot orthonormalize")
-    return np.linalg.solve(lo, v.T).swapaxes(-1, -2)
+    a = np.linalg.solve(lo, v.T)
+    return (a * 2.0 ** -k if k else a).swapaxes(-1, -2)
 
 
 def design_coefficients(spec: FilterSpec) -> FilterCoefficients:
@@ -201,8 +205,10 @@ def design_coefficients(spec: FilterSpec) -> FilterCoefficients:
 
     A is the weight-orthonormal Legendre basis of the fit and u selects
     the evaluation index j; c equals the normal-equations solution
-    W X (X'WX)^{-1} X' u for the power basis X.  A length-1 window gives
-    the identity tap [1.0] regardless of weighting.
+    W X (X'WX)^{-1} X' u for the power basis X.  W holds the weights
+    scaled to a largest entry near 1 (WeightVector.unit_values), which
+    leaves c unchanged bit for bit and keeps W A A' u in range.  A
+    length-1 window gives the identity tap [1.0] regardless of weighting.
 
     Raises:
         numpy.linalg.LinAlgError: if the basis is weight-degenerate
@@ -210,7 +216,7 @@ def design_coefficients(spec: FilterSpec) -> FilterCoefficients:
     """
     if spec.q == 1:
         return FilterCoefficients((1.0,), spec)
-    w = spec.weight.as_array()
+    w = spec.weight.unit_values
     a = orthonormalize_columns(legendre_basis(spec.q, spec.degree, spec.even_basis), w)
     c = w * (a @ a[spec.evaluation_index - 1])
     return FilterCoefficients(tuple(c.tolist()), spec)
@@ -220,7 +226,8 @@ def polyfit_edges(spec: FilterSpec, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Polyfit outputs at the m-1 samples on each end of a record y of >= q samples.
 
     Each end is fitted once, b = A'(w * window), A the full weight-orthonormal
-    Legendre basis 0..spec.degree, and evaluated off center as A[j] b: the
+    Legendre basis 0..spec.degree and w the scaled weights of
+    design_coefficients, and evaluated off center as A[j] b: the
     outputs of the taps w * (A A[j]) without forming them, in O(q (degree + 1))
     memory.
 
@@ -239,7 +246,7 @@ def polyfit_edges(spec: FilterSpec, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     n = spec.degree + 1
     if n > q:
         raise ValueError(f"{n} basis columns exceed window length {q}")
-    w = spec.weight.as_array()
+    w = spec.weight.unit_values
     a = orthonormalize_columns(legendre_basis(q, spec.degree), w)
     sums = a @ (w @ a)
     off = np.abs(sums - 1.0) > DC_GAIN_TOL

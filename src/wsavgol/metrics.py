@@ -12,6 +12,7 @@ constant / triangular / quadratic weight profiles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,29 +203,58 @@ class FrequencyResponse:
     magnitude: np.ndarray
 
 
-def _dtft_magnitude(taps: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """|sum_k c_k e^{-i w k}| at each frequency w in omega."""
-    k = np.arange(taps.size)
-    return np.abs(np.exp(-1j * np.outer(omega, k)) @ taps)
+def _rfft_magnitude(taps: np.ndarray, length: int) -> np.ndarray:
+    """|sum_k c_k e^{-i w k}| at w = 2 pi n / length, n = 0..length/2, by one real FFT.
+
+    On this grid e^{-i w k} has period `length` in k, so taps longer than
+    the transform are first folded modulo its length: zero padded to a
+    multiple of it and summed row by row.  Without the fold rfft would
+    truncate them.
+    """
+    if taps.size > length:
+        pad = np.zeros(-taps.size % length)
+        taps = np.concatenate((taps, pad)).reshape(-1, length).sum(axis=0)
+    return np.abs(np.fft.rfft(taps, length))
 
 
 def frequency_response(c, num_points: int) -> FrequencyResponse:
     """Magnitude response |sum_k c_k e^{-i w k}| on [0, pi] inclusive.
 
-    The magnitude at w=0 equals 1 for any unit-DC-gain tap vector.
+    linspace(0, pi, N) is the first N bins of a length-2(N-1) DFT, so the
+    magnitudes are one real FFT of the q taps, folded first when
+    q > 2(N-1): O(N log N) time and O(N + q) memory.  The magnitude at w=0
+    equals 1 for any unit-DC-gain tap vector.
     """
     if num_points < 2:
         raise ValueError(f"need at least 2 frequency points, got {num_points}")
-    omega = np.linspace(0.0, np.pi, num_points)
-    return FrequencyResponse(omega=omega, magnitude=_dtft_magnitude(_taps(c), omega))
+    # The magnitudes first: the transform is freed before omega is built.
+    magnitude = _rfft_magnitude(_taps(c), 2 * (num_points - 1))
+    return FrequencyResponse(omega=np.linspace(0.0, np.pi, num_points), magnitude=magnitude)
 
 
 def stopband_peak(c, lower: float = 2.0 * np.pi / 3.0, num_points: int = 2048) -> float:
-    """Largest response magnitude over [lower, pi]."""
+    """Largest response magnitude over [lower, pi].
+
+    Sampled by frequency_response's transform on the [0, pi] grid of
+    N' = ceil((num_points - 1) pi / (pi - lower)) + 1 points, no coarser
+    than linspace(lower, pi, num_points), plus a direct sum at w = lower,
+    which that grid need not hold.  A band so narrow that N' exceeds
+    num_points * q is summed directly on linspace(lower, pi, num_points),
+    the cheaper way there.
+    """
     if not 0.0 <= lower < np.pi:
         raise ValueError(f"stopband edge must lie in [0, pi), got {lower}")
-    omega = np.linspace(lower, np.pi, num_points)
-    return float(_dtft_magnitude(_taps(c), omega).max())
+    if num_points < 2:
+        raise ValueError(f"need at least 2 frequency points, got {num_points}")
+    taps = _taps(c)
+    k = np.arange(taps.size)
+    n = math.ceil((num_points - 1) * np.pi / (np.pi - lower)) + 1
+    if n > num_points * taps.size:
+        omega = np.linspace(lower, np.pi, num_points)
+        return float(np.abs(np.exp(-1j * np.outer(omega, k)) @ taps).max())
+    magnitude = _rfft_magnitude(taps, 2 * (n - 1))
+    edge = abs(np.exp(-1j * lower * k) @ taps)
+    return float(max(edge, magnitude[np.linspace(0.0, np.pi, n) >= lower].max()))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import legendre_basis, orthonormalize_columns
-from .weights import SecondDifferenceMatrix, WeightVector, custom_weights, quadratic_weights
+from .weights import (
+    SecondDifferenceMatrix,
+    WeightVector,
+    _unit_scaled,
+    custom_weights,
+    quadratic_weights,
+)
 
 EIGENVALUE_RTOL = 1e-8
 ORTHONORMALITY_TOL = 1e-9
@@ -90,8 +96,11 @@ def _center_projection(q: int, n: int, w: np.ndarray):
 
 
 def _smoothness(q: int, n: int, w: np.ndarray):
-    """s = c'Tc/2 along the last axis, as the zero-padded difference sum."""
-    _, _, c = _center_projection(q, n, w)
+    """s = c'Tc/2 along the last axis, as the zero-padded difference sum.
+
+    c does not depend on the scale of w; scaled weights keep W A A' u in range.
+    """
+    _, _, c = _center_projection(q, n, _unit_scaled(w)[0])
     d = np.diff(c, axis=-1, prepend=0.0, append=0.0)
     return 0.5 * (d * d).sum(axis=-1)
 
@@ -111,18 +120,21 @@ def smoothness_gradient(q: int, n: int, weight) -> np.ndarray:
 
     At the quadratic weights the gradient vanishes (stationarity); at
     any other weighting it is generally nonzero and matches finite
-    differences of s.
+    differences of s.  s does not change when w is scaled by 4^k, so the
+    gradient is taken at the scaled weights and divided by 4^k; entries
+    beyond the float range, as at weights near 1e-323, read inf.
     """
     if q % 2 == 0:
         raise ValueError("gradient is defined for odd windows")
     m = (q + 1) // 2
     if not 1 <= n < m:
         raise ValueError(f"basis size {n} must satisfy 1 <= n < m = {m}")
-    w = _weight_array(weight)
+    w, k = _unit_scaled(_weight_array(weight))
     a, g, c = _center_projection(q, n, w)
     t = SecondDifferenceMatrix(q)
     tc = t.apply(c)
-    return g * (tc - a @ (a.T @ (w * tc)))
+    with np.errstate(over="ignore"):
+        return np.ldexp(g * (tc - a @ (a.T @ (w * tc))), -2 * k)
 
 
 def hessian(q: int, n: int) -> np.ndarray:

@@ -10,6 +10,7 @@ operator that the quadratic profile is defined by.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,18 @@ WEIGHT_KINDS = ("constant", "triangular", "quadratic", "custom")
 _SYMMETRY_RTOL = 1e-12
 
 
+def _unit_scaled(w: np.ndarray) -> tuple[np.ndarray, int]:
+    """w times 4^-k, k chosen so that its largest entry lies in [0.5, 2), and k.
+
+    Fitted taps do not depend on the scale of the weights, and a power of
+    two scales exactly: the weight-orthonormal basis of w is that of the
+    scaled weights times 2^-k, bit for bit, and no Gram matrix or weighted
+    sample overflows.  A stack of weightings shares one k.
+    """
+    k = math.frexp(w.max())[1] // 2
+    return (np.ldexp(w, -2 * k) if k else w), k
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """A length-q vector of strictly positive residual weights.
@@ -33,11 +46,15 @@ class WeightVector:
             ``custom``.
         is_symmetric: derived; True when w_i equals w_{q+1-i} to a
             relative _SYMMETRY_RTOL.
+        unit_values: derived; the weights as a read-only array scaled by
+            the even power of two that brings the largest near 1, the
+            form the design kernel works in.
     """
 
     values: tuple[float, ...]
     kind: str
     is_symmetric: bool = field(init=False, repr=False, compare=False)
+    unit_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:
@@ -55,6 +72,9 @@ class WeightVector:
         object.__setattr__(self, "is_symmetric", symmetric)
         if self.kind in ("triangular", "quadratic") and not symmetric:
             raise ValueError(f"{self.kind} weights must be symmetric")
+        unit = _unit_scaled(arr)[0]
+        unit.flags.writeable = False
+        object.__setattr__(self, "unit_values", unit)
 
     @property
     def q(self) -> int:

@@ -100,6 +100,23 @@ class TestDesignCommand:
         assert_allclose(json.loads(out)["coefficients"],
                         exact_float_taps(make_spec(q, degree)), rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("command,expected", [
+        (["design", "--window", "5", "--degree", "2"], 0),
+        (["smooth", "--column", "y", "--window", "5", "--degree", "2", "--edge", "polyfit"], 0),
+        (["verify", "--max-window", "5"], 1),
+    ], ids=["design", "smooth", "verify"])
+    def test_weights_near_the_float_limit(self, capsys, tmp_path, command, expected):
+        path = tmp_path / "w.txt"
+        path.write_text("1e308\n" * 5)
+        if command[0] == "smooth":
+            (tmp_path / "in.csv").write_text("y\n" + "".join(f"{i * i}\n" for i in range(9)))
+            command = command + ["--input", str(tmp_path / "in.csv")]
+        code, out, err = run_cli(capsys, *command, "--weight-file", str(path))
+        assert (code, err) == (expected, "")
+        if command[0] == "design":
+            assert_allclose(json.loads(out)["coefficients"],
+                            [-3 / 35, 12 / 35, 17 / 35, 12 / 35, -3 / 35], rtol=0, atol=2e-16)
+
     def test_negative_weight_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("1.0\n-2.0\n1.0\n")
@@ -404,6 +421,12 @@ class TestSmoothCommand:
         code, _, err = self._smooth_with_document(capsys, tmp_path, doc)
         assert code == 2
         assert err == "error: taps must be finite\n"
+
+    def test_coefficient_file_dc_gain_message(self, capsys, tmp_path):
+        doc = self._moving_average_document([0.2, 0.2, 0.2, 0.2, 0.21])
+        code, _, err = self._smooth_with_document(capsys, tmp_path, doc)
+        assert code == 2
+        assert err == "error: taps must sum to 1, got 1.01\n"
 
     def test_coefficient_file_integral_floats_load(self, capsys, tmp_path):
         doc = {**self._moving_average_document([0.2] * 5), "q": 5.0, "degree": 0.0}

@@ -326,6 +326,31 @@ class TestOrthonormalRoute:
         assert np.max(np.abs(gram - np.eye(spec.n_columns))) < 1e-14
 
 
+class TestWeightScale:
+    """The taps do not depend on the scale of the weights, over the whole float range."""
+
+    @pytest.mark.parametrize("scale", [1e308, 1.7976931348623157e308, 1e-300, 5e-324])
+    def test_uniform_weights_of_any_magnitude_give_the_constant_taps(self, scale):
+        assert_allclose(design(5, 2, [scale] * 5).as_array(), CLASSIC_Q5_D2, rtol=0, atol=2e-16)
+
+    @pytest.mark.parametrize("kind", ["triangular", "quadratic", "asymmetric"])
+    @pytest.mark.parametrize("factor", [4.0 ** -300, 4.0 ** 200])
+    def test_power_of_four_scales_are_bit_identical(self, kind, factor):
+        w = np.array(ASYMMETRIC_Q7) if kind == "asymmetric" else make_spec(7, 2, kind).weight.as_array()
+        assert design(7, 2, list(w * factor)).taps == design(7, 2, list(w)).taps
+        for j in (1, 4):
+            assert design(7, 2, list(w * factor), j).taps == design(7, 2, list(w), j).taps
+
+    def test_huge_weights_fit_the_edges_without_overflow(self):
+        y = np.linspace(-30.0, 30.0, 40) ** 2
+        huge = polyfit_edges(make_spec(11, 2, [1e308] * 11), y)
+        unit = polyfit_edges(make_spec(11, 2, [1.0] * 11), y)
+        for got, want in zip(huge, unit):
+            assert_allclose(got, want, rtol=1e-14)
+        assert_allclose(smooth(SignalSeries(y), design(11, 2, [1e308] * 11)).values, y,
+                        rtol=1e-12)
+
+
 class TestClosedFormFit:
     def test_q5(self):
         c = quadratic_weight_constant_fit(5)
@@ -351,6 +376,11 @@ class TestFilterCoefficientsValidation:
     def test_rejects_wrong_dc_gain(self):
         with pytest.raises(ValueError, match="sum to 1"):
             FilterCoefficients((0.5, 0.6), make_spec(2, 0, "constant", j=1))
+
+    def test_dc_gain_message_prints_a_python_float(self):
+        with pytest.raises(ValueError) as info:
+            FilterCoefficients((0.2, 0.2, 0.2, 0.2, 0.21), make_spec(5, 0))
+        assert str(info.value) == "taps must sum to 1, got 1.01"
 
     def test_rejects_asymmetric_centered_taps(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -201,6 +204,59 @@ class TestFrequencyResponse:
     def test_stopband_edge_validation(self):
         with pytest.raises(ValueError, match=r"\[0, pi\)"):
             stopband_peak([1.0], lower=3.2)
+
+    @pytest.mark.parametrize("num_points", [0, 1])
+    def test_stopband_points_validation(self, num_points):
+        with pytest.raises(ValueError, match="at least 2 frequency points"):
+            stopband_peak(design(5, 0, "quadratic"), num_points=num_points)
+
+
+def direct_magnitude(taps, omega):
+    """|sum_k c_k e^{-i w k}| from compensated sums, one frequency at a time."""
+    k = np.arange(taps.size)
+    return np.array([abs(complex(math.fsum(taps * np.cos(w * k)), -math.fsum(taps * np.sin(w * k))))
+                     for w in omega])
+
+
+def dense_peak(taps, lower, num_points=40001):
+    """Largest direct magnitude on linspace(lower, pi, num_points), in chunks."""
+    k = np.arange(taps.size)
+    return max(np.abs(np.exp(-1j * np.outer(w, k)) @ taps).max()
+               for w in np.array_split(np.linspace(lower, np.pi, num_points), 40))
+
+
+class TestTransformKernel:
+    """The real-FFT response against direct sums, folded windows included."""
+
+    @pytest.mark.parametrize("kind", ["constant", "triangular", "quadratic"])
+    @pytest.mark.parametrize("q", [1, 3, 5, 25, 101, 401])
+    def test_matches_direct_sums(self, q, kind):
+        # 20 of the (q, N) pairs have q > 2(N - 1), so the taps are folded first.
+        taps = design(q, min(4, q - 1), kind).as_array()
+        for num_points in (2, 3, 4, 5, 13, 17, 513):
+            resp = frequency_response(taps, num_points)
+            assert resp.omega.tobytes() == np.linspace(0.0, np.pi, num_points).tobytes()
+            assert_allclose(resp.magnitude, direct_magnitude(taps, resp.omega), rtol=0, atol=1e-13)
+
+    def test_memory_is_linear_in_points(self):
+        taps = design(401, 16, "quadratic")
+        frequency_response(taps, 3)  # numpy.fft loaded outside the traced region
+        tracemalloc.start()
+        try:
+            frequency_response(taps, 200_001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A points x taps complex matrix would take 200001 * 401 * 16 bytes, 1.3 GB.
+        assert peak < 5e6
+
+    @pytest.mark.parametrize("kind", ["constant", "triangular", "quadratic"])
+    @pytest.mark.parametrize("q,degree", [(5, 0), (25, 4), (51, 4)])
+    @pytest.mark.parametrize("lower", [np.pi / 4, 2 * np.pi / 3, np.pi - 1e-6])
+    def test_stopband_peak_matches_dense_direct_sums(self, q, degree, kind, lower):
+        # A band 1e-6 wide is summed directly; the wider ones go through the transform.
+        taps = design(q, degree, kind).as_array()
+        assert abs(stopband_peak(taps, lower, 8192) - dense_peak(taps, lower)) < 1e-6
 
 
 class TestEmpiricalRatios:

@@ -104,6 +104,12 @@ class TestGradient:
         scale = np.maximum(np.abs(fd), 1e-3 * np.max(np.abs(fd)))
         assert np.max(np.abs(analytic - fd) / scale) < 1e-6
 
+    @pytest.mark.parametrize("factor", [4.0 ** 200, 4.0 ** -200])
+    def test_scales_inversely_with_the_weights(self, factor):
+        w = triangular_weights(9).as_array()
+        grad = smoothness_gradient(9, 2, w)
+        assert np.array_equal(smoothness_gradient(9, 2, w * factor), grad / factor)
+
     def test_basis_size_validation(self):
         with pytest.raises(ValueError, match="n < m"):
             smoothness_gradient(5, 3, quadratic_weights(5))
