@@ -16,7 +16,6 @@ import numpy as np
 
 from .weights import (
     WeightVector,
-    _unit_scaled,
     constant_weights,
     custom_weights,
     quadratic_weights,
@@ -176,8 +175,7 @@ def orthonormalize_columns(columns: np.ndarray, weight_values: np.ndarray) -> np
     basis of increasing degree stays one.  Every tap, edge fit and
     derivative comes from this one factorization.  A stack of weightings,
     shape (..., q), gives the stack of bases, shape (..., q, n), from one
-    batched Cholesky and one batched solve.  The weights are first scaled
-    by an even power of two to a largest entry near 1, and A scaled back.
+    batched Cholesky and one batched solve.
 
     Raises:
         numpy.linalg.LinAlgError: if the columns are linearly dependent
@@ -187,7 +185,6 @@ def orthonormalize_columns(columns: np.ndarray, weight_values: np.ndarray) -> np
     v = np.asarray(columns, dtype=float)
     if w.shape[-1:] != (v.shape[0],):
         raise ValueError("weight vector does not match basis rows")
-    w, k = _unit_scaled(w)
     g = v.T @ (w[..., :, None] * v)
     try:
         lo = np.linalg.cholesky(g)
@@ -196,8 +193,7 @@ def orthonormalize_columns(columns: np.ndarray, weight_values: np.ndarray) -> np
         degenerate = True
     if degenerate:
         raise np.linalg.LinAlgError("basis columns are weight-degenerate; cannot orthonormalize")
-    a = np.linalg.solve(lo, v.T)
-    return (a * 2.0 ** -k if k else a).swapaxes(-1, -2)
+    return np.linalg.solve(lo, v.T).swapaxes(-1, -2)
 
 
 def design_coefficients(spec: FilterSpec) -> FilterCoefficients:

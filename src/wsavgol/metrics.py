@@ -12,7 +12,6 @@ constant / triangular / quadratic weight profiles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,6 +202,12 @@ class FrequencyResponse:
     magnitude: np.ndarray
 
 
+def _dtft_magnitude(taps: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """|sum_k c_k e^{-i w k}| at each frequency w in omega."""
+    k = np.arange(taps.size)
+    return np.abs(np.exp(-1j * np.outer(omega, k)) @ taps)
+
+
 def _rfft_magnitude(taps: np.ndarray, length: int) -> np.ndarray:
     """|sum_k c_k e^{-i w k}| at w = 2 pi n / length, n = 0..length/2, by one real FFT.
 
@@ -235,26 +240,14 @@ def frequency_response(c, num_points: int) -> FrequencyResponse:
 def stopband_peak(c, lower: float = 2.0 * np.pi / 3.0, num_points: int = 2048) -> float:
     """Largest response magnitude over [lower, pi].
 
-    Sampled by frequency_response's transform on the [0, pi] grid of
-    N' = ceil((num_points - 1) pi / (pi - lower)) + 1 points, no coarser
-    than linspace(lower, pi, num_points), plus a direct sum at w = lower,
-    which that grid need not hold.  A band so narrow that N' exceeds
-    num_points * q is summed directly on linspace(lower, pi, num_points),
-    the cheaper way there.
+    Summed directly at the num_points frequencies linspace(lower, pi, num_points).
     """
     if not 0.0 <= lower < np.pi:
         raise ValueError(f"stopband edge must lie in [0, pi), got {lower}")
     if num_points < 2:
         raise ValueError(f"need at least 2 frequency points, got {num_points}")
-    taps = _taps(c)
-    k = np.arange(taps.size)
-    n = math.ceil((num_points - 1) * np.pi / (np.pi - lower)) + 1
-    if n > num_points * taps.size:
-        omega = np.linspace(lower, np.pi, num_points)
-        return float(np.abs(np.exp(-1j * np.outer(omega, k)) @ taps).max())
-    magnitude = _rfft_magnitude(taps, 2 * (n - 1))
-    edge = abs(np.exp(-1j * lower * k) @ taps)
-    return float(max(edge, magnitude[np.linspace(0.0, np.pi, n) >= lower].max()))
+    omega = np.linspace(lower, np.pi, num_points)
+    return float(_dtft_magnitude(_taps(c), omega).max())
 
 
 @dataclass(frozen=True)

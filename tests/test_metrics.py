@@ -254,7 +254,6 @@ class TestTransformKernel:
     @pytest.mark.parametrize("q,degree", [(5, 0), (25, 4), (51, 4)])
     @pytest.mark.parametrize("lower", [np.pi / 4, 2 * np.pi / 3, np.pi - 1e-6])
     def test_stopband_peak_matches_dense_direct_sums(self, q, degree, kind, lower):
-        # A band 1e-6 wide is summed directly; the wider ones go through the transform.
         taps = design(q, degree, kind).as_array()
         assert abs(stopband_peak(taps, lower, 8192) - dense_peak(taps, lower)) < 1e-6
 
