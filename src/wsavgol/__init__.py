@@ -22,6 +22,7 @@ from .metrics import (
     closed_forms,
     empirical_ratios,
     error_reduction_ratio,
+    exact_ratio_table,
     exact_ratios,
     frequency_response,
     metrics_report,
@@ -78,6 +79,7 @@ __all__ = [
     "eigenvalues_of_tw",
     "empirical_ratios",
     "error_reduction_ratio",
+    "exact_ratio_table",
     "exact_ratios",
     "expected_tw_eigenvalues",
     "frequency_response",

@@ -19,8 +19,11 @@ from operator import itemgetter
 import numpy as np
 
 from .design import FilterCoefficients, FilterSpec, design_coefficients, make_spec
-from .metrics import (
+# exact_ratios is unused here but stays importable: perfbench's tracer wraps
+# cli.exact_ratios.
+from .metrics import (  # noqa: F401
     error_reduction_ratio,
+    exact_ratio_table,
     exact_ratios,
     frequency_response,
     moving_average_ratio_approximations,
@@ -361,12 +364,19 @@ def cmd_sweep(args) -> int:
         raise ValueError("empty sweep grid")
     for q in windows:
         _require_odd_window(q)
+    if degrees[0] < 0:
+        raise ValueError(f"degree must be >= 0, got {degrees[0]}")
+    # A degree d fits basis size d // 2 + 1 <= m = (q + 1) / 2, so d <= q.
+    if degrees[-1] > windows[0]:
+        raise ValueError(f"degree {degrees[-1]} is too high for window {windows[0]}: "
+                         f"the largest it takes is {windows[0]}")
 
     rows = []
     for q in windows:
+        table = exact_ratio_table(q, degrees[-1] // 2 + 1)
         for degree in degrees:
             n = degree // 2 + 1
-            ex = exact_ratios(q, n)
+            ex = table[n - 1]
             gen = ratio_approximations(ex.m, n)
             if n == 1:
                 ma = moving_average_ratio_approximations(q)

@@ -116,6 +116,23 @@ def make_spec(q: int, degree: int, weight="constant", j: int | None = None) -> F
     return FilterSpec(q=q, degree=degree, weight=wv, j=j)
 
 
+def check_taps(c: np.ndarray, symmetric: bool) -> None:
+    """Check every tap vector along the last axis of c: finite, summing to
+    one within DC_GAIN_TOL and, if `symmetric`, mirror-symmetric within
+    SYMMETRY_TOL.  Raises ValueError naming the first vector that fails.
+    """
+    if not np.isfinite(c).all():
+        raise ValueError("taps must be finite")
+    sums = c.sum(axis=-1)
+    off = np.abs(sums - 1.0) > DC_GAIN_TOL
+    if off.any():
+        raise ValueError(f"taps must sum to 1, got {float(np.ravel(sums)[np.argmax(off)])!r}")
+    if symmetric:
+        asym = np.abs(c - c[..., ::-1]).max(axis=-1)
+        if (asym > SYMMETRY_TOL * np.maximum(1.0, np.abs(c).max(axis=-1))).any():
+            raise ValueError("center-evaluated taps must be symmetric")
+
+
 @dataclass(frozen=True)
 class FilterCoefficients:
     """Designed filter taps plus the FilterSpec that produced them.
@@ -134,14 +151,7 @@ class FilterCoefficients:
             raise ValueError(
                 f"expected {self.spec.q} taps, got {c.shape[0] if c.ndim == 1 else c.shape}"
             )
-        if not np.isfinite(c).all():
-            raise ValueError("taps must be finite")
-        if abs(c.sum() - 1.0) > DC_GAIN_TOL:
-            raise ValueError(f"taps must sum to 1, got {float(c.sum())!r}")
-        if self.spec.even_basis:
-            asym = np.max(np.abs(c - c[::-1]))
-            if asym > SYMMETRY_TOL * max(1.0, np.max(np.abs(c))):
-                raise ValueError("center-evaluated taps must be symmetric")
+        check_taps(c, self.spec.even_basis)
 
     @property
     def q(self) -> int:

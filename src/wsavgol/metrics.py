@@ -16,10 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import FilterCoefficients, design
+# `design` is unused here but stays importable: perfbench's tracer wraps
+# metrics.design to count redesigns.
+from .design import (  # noqa: F401
+    FilterCoefficients,
+    check_taps,
+    design,
+    legendre_basis,
+    make_spec,
+    orthonormalize_columns,
+)
 from .weights import SecondDifferenceMatrix
 
 _CONSISTENCY_TOL = 1e-12
+# Subscripts 0, 1, 2 of ExactRatios.
+_REFERENCE_KINDS = ("constant", "triangular", "quadratic")
 
 
 def _taps(c) -> np.ndarray:
@@ -31,6 +42,32 @@ def _taps(c) -> np.ndarray:
     return arr
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_k . b_k for each pair of vectors along the last axis; for 1-D
+    inputs the same float as a @ b."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _r_and_s(taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r and s of each tap vector along the last axis of taps.
+
+    s is computed twice, once from the zero-padded difference sum and
+    once as the quadratic form c'Tc/2, and the two are required to agree
+    to 1e-12; disagreement would mean a defect in one of the formulations.
+    """
+    diffs = np.diff(taps, prepend=0.0, append=0.0)
+    by_sum = 0.5 * _dots(diffs, diffs)
+    by_form = 0.5 * _dots(taps, SecondDifferenceMatrix(taps.shape[-1]).apply(taps))
+    off = np.abs(by_sum - by_form) > _CONSISTENCY_TOL * np.maximum(1.0, np.abs(by_sum))
+    if off.any():
+        k = np.argmax(off)
+        raise RuntimeError(
+            "smoothing parameter formulations disagree: "
+            f"{float(np.ravel(by_sum)[k])!r} vs {float(np.ravel(by_form)[k])!r}"
+        )
+    return _dots(taps, taps), by_sum
+
+
 def error_reduction_ratio(c) -> float:
     """Sum of squared taps: output/input noise variance ratio."""
     taps = _taps(c)
@@ -38,22 +75,9 @@ def error_reduction_ratio(c) -> float:
 
 
 def smoothing_parameter(c) -> float:
-    """Half the sum of squared successive tap differences, zero padded.
-
-    Computed twice, once from the padded difference sum and once as the
-    quadratic form c'Tc/2, and the two are required to agree to 1e-12;
-    disagreement would mean a defect in one of the formulations.
-    """
-    taps = _taps(c)
-    diffs = np.diff(taps, prepend=0.0, append=0.0)
-    by_sum = 0.5 * float(diffs @ diffs)
-    t = SecondDifferenceMatrix(taps.size)
-    by_form = 0.5 * float(taps @ t.apply(taps))
-    if abs(by_sum - by_form) > _CONSISTENCY_TOL * max(1.0, abs(by_sum)):
-        raise RuntimeError(
-            f"smoothing parameter formulations disagree: {by_sum!r} vs {by_form!r}"
-        )
-    return by_sum
+    """Half the sum of squared successive tap differences, zero padded,
+    cross-checked against c'Tc/2 (see _r_and_s)."""
+    return float(_r_and_s(_taps(c))[1])
 
 
 @dataclass(frozen=True)
@@ -168,32 +192,50 @@ class ExactRatios:
         return self.s0 / self.s1
 
 
-def exact_ratios(q: int, n: int) -> ExactRatios:
-    """Design all three weightings at basis size n and take quotients.
+def exact_ratio_table(q: int, n_max: int) -> list[ExactRatios]:
+    """ExactRatios of window q for every basis size n = 1..n_max, in order.
 
-    These quotients have no closed form for general (q, n); the
-    approximation formulas are judged against them.
+    All rows come from one stacked projection.  The three weightings,
+    stacked, are orthonormalized against one even Legendre basis of
+    degree 2(n_max-1).  Column k of that basis combines only the
+    polynomials of degrees 0..2k, so its first n columns are the basis of
+    basis size n: the degrees nest.  The center taps of basis size n are
+    then w * sum_{k<n} a_k a_k[m], one cumulative sum over the columns.
+    Every row passes FilterCoefficients' checks; no filter is designed.
+
+    Raises:
+        ValueError: for an even or non-positive window, an n_max outside
+            1..m, or taps that fail the checks.
+        numpy.linalg.LinAlgError: if the basis is weight-degenerate.
     """
     if q < 1 or q % 2 == 0:
         raise ValueError(f"window length must be odd and >= 1, got {q}")
     m = (q + 1) // 2
-    if not 1 <= n <= m:
-        raise ValueError(f"basis size n={n} outside 1..{m} for window {q}")
-    degree = 2 * (n - 1)
-    c0 = design(q, degree, "constant")
-    c1 = design(q, degree, "triangular")
-    c2 = design(q, degree, "quadratic")
-    return ExactRatios(
-        q=q,
-        n=n,
-        m=m,
-        r0=error_reduction_ratio(c0),
-        r1=error_reduction_ratio(c1),
-        r2=error_reduction_ratio(c2),
-        s0=smoothing_parameter(c0),
-        s1=smoothing_parameter(c1),
-        s2=smoothing_parameter(c2),
-    )
+    if not 1 <= n_max <= m:
+        raise ValueError(f"basis size n={n_max} outside 1..{m} for window {q}")
+    degree = 2 * (n_max - 1)
+    specs = [make_spec(q, degree, kind) for kind in _REFERENCE_KINDS]
+    if q == 1:
+        # design_coefficients' identity tap [1.0] under every weighting.
+        taps = np.ones((len(specs), 1, 1))
+    else:
+        w = np.stack([spec.weight.unit_values for spec in specs])
+        a = orthonormalize_columns(legendre_basis(q, degree, even=True), w)
+        taps = w[:, None, :] * np.cumsum(a * a[:, m - 1, None, :], axis=-1).swapaxes(-1, -2)
+    check_taps(taps, symmetric=True)
+    r, s = (v.tolist() for v in _r_and_s(taps))
+    return [ExactRatios(q=q, n=n + 1, m=m, r0=r[0][n], r1=r[1][n], r2=r[2][n],
+                        s0=s[0][n], s1=s[1][n], s2=s[2][n]) for n in range(n_max)]
+
+
+def exact_ratios(q: int, n: int) -> ExactRatios:
+    """The three weightings' r and s at window q and basis size n, and
+    their quotients: the last row of exact_ratio_table(q, n).
+
+    These quotients have no closed form for general (q, n); the
+    approximation formulas are judged against them.
+    """
+    return exact_ratio_table(q, n)[-1]
 
 
 @dataclass(frozen=True)

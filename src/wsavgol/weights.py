@@ -111,8 +111,9 @@ def triangular_weights(q: int) -> WeightVector:
     entries are bit-identical.
     """
     _check_window(q)
-    vals = [2.0 * min(i, q + 1 - i) / (q + 1) for i in range(1, q + 1)]
-    return WeightVector(tuple(vals), "triangular")
+    i = np.arange(1, q + 1)
+    vals = 2.0 * np.minimum(i, q + 1 - i) / (q + 1)
+    return WeightVector(tuple(vals.tolist()), "triangular")
 
 
 def quadratic_weights(q: int) -> WeightVector:
@@ -125,8 +126,9 @@ def quadratic_weights(q: int) -> WeightVector:
     constant -1 at interior points.
     """
     _check_window(q)
-    vals = [0.5 * i * (q + 1 - i) for i in range(1, q + 1)]
-    return WeightVector(tuple(vals), "quadratic")
+    i = np.arange(1, q + 1)
+    vals = 0.5 * i * (q + 1 - i)
+    return WeightVector(tuple(vals.tolist()), "quadratic")
 
 
 def custom_weights(values) -> WeightVector:
@@ -157,13 +159,14 @@ class SecondDifferenceMatrix:
         return t
 
     def apply(self, vec) -> np.ndarray:
-        """Matrix-vector product T @ vec without forming the dense matrix."""
+        """T @ v for each length-q vector v along the last axis of vec,
+        without forming the dense matrix."""
         v = np.asarray(vec, dtype=float)
-        if v.shape != (self.q,):
+        if v.shape[-1:] != (self.q,):
             raise ValueError(f"expected a length-{self.q} vector, got shape {v.shape}")
         out = 2.0 * v
-        out[:-1] -= v[1:]
-        out[1:] -= v[:-1]
+        out[..., :-1] -= v[..., 1:]
+        out[..., 1:] -= v[..., :-1]
         return out
 
 

@@ -187,6 +187,57 @@ class TestSweepCommand:
         assert records[0]["degree"] == 2
 
 
+    def test_negative_degree_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--windows", "5", "--degrees", "-2")
+        assert (code, out) == (2, "")
+        assert err == "error: degree must be >= 0, got -2\n"
+
+    def test_degree_too_high_names_degree_and_window(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--windows", "3,9", "--degrees", "0,4")
+        assert (code, out) == (2, "")
+        assert err == "error: degree 4 is too high for window 3: the largest it takes is 3\n"
+
+    def test_odd_degree_up_to_the_window_is_taken(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--windows", "3", "--degrees", "3",
+                               "--format", "json")
+        assert code == 0
+        assert [rec["degree"] for rec in json.loads(out)] == [3, 3, 3]
+
+    def test_rows_of_a_window_match_single_degree_sweeps(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--windows", "9,21", "--degrees", "0,2,5,6",
+                               "--weights", "all", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        for q in (9, 21):
+            for d in (0, 2, 5, 6):
+                _, single, _ = run_cli(capsys, "sweep", "--windows", str(q), "--degrees", str(d),
+                                       "--weights", "all", "--format", "json")
+                got = [r for r in rows if (r["q"], r["degree"]) == (q, d)]
+                want = json.loads(single)
+                assert [r["weight"] for r in got] == [r["weight"] for r in want]
+                for key in cli.SWEEP_KEYS[3:]:
+                    # the err_ columns are differences of nearly equal ratios
+                    tol = {"rtol": 0, "atol": 1e-15} if key.startswith("err_") else {"rtol": 1e-14}
+                    assert_allclose([r[key] for r in got], [r[key] for r in want], **tol,
+                                    err_msg=f"q={q} degree={d} {key}")
+
+    def test_exit_codes_near_interpolation(self, capsys):
+        # Exit codes of single-degree sweeps with degree q-8..q-1, as the
+        # per-degree designs gave them before the stacked projection:
+        # negative degrees are usage errors, and the Cholesky kernel's
+        # near-interpolating fits fail the sum-to-one check (2) or the
+        # degeneracy test (1) at these points.
+        failing = {(31, 30): 2, (33, 32): 2, (35, 32): 2, (35, 33): 2, (35, 34): 2,
+                   (37, 34): 2, (37, 35): 2, (37, 36): 1, (39, 36): 2, (39, 37): 2,
+                   (39, 38): 1, (41, 38): 2, (41, 39): 2, (41, 40): 1}
+        for q in range(3, 42, 2):
+            for d in range(q - 8, q):
+                code, _, _ = run_cli(capsys, "sweep", "--windows", str(q), "--degrees", str(d),
+                                     "--format", "json")
+                expected = 2 if d < 0 else failing.get((q, d), 0)
+                assert code == expected, (q, d)
+
+
 class TestVerifyCommand:
     def test_default_grid_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-window", "11", "--max-degree", "4")

@@ -10,6 +10,7 @@ import wsavgol
 from wsavgol.design import (
     FilterCoefficients,
     FilterSpec,
+    check_taps,
     design,
     design_coefficients,
     legendre_basis,
@@ -395,6 +396,21 @@ class TestFilterCoefficientsValidation:
         # a NaN tap makes every later comparison false, so it must be caught first
         with pytest.raises(ValueError, match="finite"):
             FilterCoefficients((0.2, 0.2, bad, 0.2, 0.2), make_spec(5, 0))
+
+    def test_check_taps_names_the_first_failing_vector_of_a_stack(self):
+        stack = np.full((2, 3, 4), 0.25)
+        stack[1, 1] += [0.0, 0.0, 0.0, 0.5]
+        stack[1, 2] += [0.0, 0.0, 0.0, 0.25]
+        with pytest.raises(ValueError, match=r"^taps must sum to 1, got 1\.5$"):
+            check_taps(stack, symmetric=False)
+
+    def test_check_taps_checks_symmetry_along_the_last_axis(self):
+        stack = np.full((2, 4), 0.25)
+        check_taps(stack, symmetric=True)
+        stack[1] = [0.3, 0.2, 0.25, 0.25]
+        check_taps(stack, symmetric=False)
+        with pytest.raises(ValueError, match="symmetric"):
+            check_taps(stack, symmetric=True)
 
     def test_asymmetric_weights_allow_asymmetric_taps(self):
         spec = FilterSpec(q=3, degree=0, weight=custom_weights([1.0, 1.0, 2.0]))

@@ -1,8 +1,11 @@
+import importlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_fit import exact_taps
 from numpy.testing import assert_allclose
 
 from wsavgol.design import design, make_spec
@@ -10,6 +13,7 @@ from wsavgol.metrics import (
     closed_forms,
     empirical_ratios,
     error_reduction_ratio,
+    exact_ratio_table,
     exact_ratios,
     frequency_response,
     metrics_report,
@@ -20,6 +24,14 @@ from wsavgol.metrics import (
 )
 
 QUAD_Q5_D0 = np.array([5.0, 8.0, 9.0, 8.0, 5.0]) / 35.0
+REFERENCE_KINDS = ("constant", "triangular", "quadratic")
+# The package re-exports functions that shadow these module names.
+design_module = importlib.import_module("wsavgol.design")
+metrics_module = importlib.import_module("wsavgol.metrics")
+
+
+def table_values(ex):
+    return [ex.r0, ex.r1, ex.r2, ex.s0, ex.s1, ex.s2]
 
 
 class TestErrorReductionRatio:
@@ -169,6 +181,57 @@ class TestExactRatios:
         ex = exact_ratios(q, n)
         assert ex.s2 < ex.s1 < ex.s0
         assert ex.r0 < ex.r1 and ex.r0 < ex.r2
+
+
+class TestExactRatioTable:
+    def test_rows_match_per_degree_designs(self):
+        # every row against three designs of its own degree
+        for q in range(1, 202, 2):
+            m = (q + 1) // 2
+            n_max = min(m, 8)
+            table = exact_ratio_table(q, n_max)
+            assert [(ex.q, ex.n, ex.m) for ex in table] == [(q, n, m) for n in range(1, n_max + 1)]
+            for ex in table:
+                filters = [design(q, 2 * (ex.n - 1), kind) for kind in REFERENCE_KINDS]
+                expected = ([error_reduction_ratio(c) for c in filters]
+                            + [smoothing_parameter(c) for c in filters])
+                assert_allclose(table_values(ex), expected, rtol=1e-14, atol=0,
+                                err_msg=f"q={q} n={ex.n}")
+
+    @pytest.mark.parametrize("q,n_max", [(5, 3), (25, 4), (101, 5)])
+    def test_rows_match_exact_rationals(self, q, n_max):
+        for ex in exact_ratio_table(q, n_max):
+            r, s = [], []
+            for kind in REFERENCE_KINDS:
+                taps = exact_taps(make_spec(q, 2 * (ex.n - 1), kind))
+                padded = [Fraction(0)] + taps + [Fraction(0)]
+                r.append(float(sum(t * t for t in taps)))
+                s.append(float(sum((b - a) ** 2 for a, b in zip(padded, padded[1:])) / 2))
+            assert_allclose(table_values(ex), r + s, rtol=1e-14, atol=0, err_msg=f"n={ex.n}")
+
+    def test_q1_is_the_identity(self):
+        [ex] = exact_ratio_table(1, 1)
+        assert table_values(ex) == [1.0] * 6
+
+    @pytest.mark.parametrize("n_max", [0, 4])
+    def test_rejects_basis_size_outside_the_window(self, n_max):
+        with pytest.raises(ValueError, match=rf"^basis size n={n_max} outside 1\.\.3 for window 5$"):
+            exact_ratio_table(5, n_max)
+
+    def test_rejects_even_window(self):
+        with pytest.raises(ValueError, match="odd"):
+            exact_ratio_table(4, 1)
+
+    def test_sum_check_fires_with_the_message_of_filter_coefficients(self, monkeypatch):
+        kernel = design_module.orthonormalize_columns
+        off = lambda v, w: kernel(v, w) * (1.0 + 1e-6)  # noqa: E731
+        pattern = r"^taps must sum to 1, got 1\.000002\d*$"
+        monkeypatch.setattr(design_module, "orthonormalize_columns", off)
+        with pytest.raises(ValueError, match=pattern):
+            design(25, 4)
+        monkeypatch.setattr(metrics_module, "orthonormalize_columns", off)
+        with pytest.raises(ValueError, match=pattern):
+            exact_ratios(25, 3)
 
 
 class TestFrequencyResponse:

@@ -78,6 +78,25 @@ class TestQuadraticWeights:
         assert_allclose(t.apply(quadratic_weights(q).as_array()), np.ones(q), atol=1e-10)
 
 
+class TestFactoryFormulas:
+    """The factories evaluate their formulas on numpy arrays; the values
+    are those of the scalar formulas, bit for bit."""
+
+    def test_triangular_matches_scalar_formula(self):
+        for q in range(1, 402):
+            scalar = tuple(2.0 * min(i, q + 1 - i) / (q + 1) for i in range(1, q + 1))
+            assert triangular_weights(q).values == scalar, q
+
+    def test_quadratic_matches_scalar_formula(self):
+        for q in range(1, 402):
+            scalar = tuple(0.5 * i * (q + 1 - i) for i in range(1, q + 1))
+            assert quadratic_weights(q).values == scalar, q
+
+    @pytest.mark.parametrize("factory", [triangular_weights, quadratic_weights])
+    def test_values_are_python_floats(self, factory):
+        assert all(type(v) is float for v in factory(9).values)
+
+
 class TestTridiagonalSolve:
     def test_q1(self):
         assert weights_by_tridiagonal_solve(1).values == (0.5,)
@@ -153,6 +172,17 @@ class TestSecondDifferenceMatrix:
     def test_apply_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="length-3"):
             SecondDifferenceMatrix(3).apply([1.0, 2.0])
+
+    def test_apply_to_a_stack_matches_each_vector(self):
+        stack = np.random.default_rng(4).standard_normal((3, 2, 7))
+        t = SecondDifferenceMatrix(7)
+        got = t.apply(stack)
+        for idx in np.ndindex(stack.shape[:-1]):
+            assert_allclose(got[idx], t.apply(stack[idx]), rtol=0, atol=0)
+
+    def test_apply_rejects_a_stack_of_wrong_length(self):
+        with pytest.raises(ValueError, match="length-3"):
+            SecondDifferenceMatrix(3).apply(np.ones((2, 4)))
 
 
 class TestValidation:
