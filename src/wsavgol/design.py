@@ -119,7 +119,8 @@ def make_spec(q: int, degree: int, weight="constant", j: int | None = None) -> F
 def check_taps(c: np.ndarray, symmetric: bool) -> None:
     """Check every tap vector along the last axis of c: finite, summing to
     one within DC_GAIN_TOL and, if `symmetric`, mirror-symmetric within
-    SYMMETRY_TOL.  Raises ValueError naming the first vector that fails.
+    SYMMETRY_TOL.  Raises ValueError; a sum-to-one failure reports the sum
+    of the first vector that fails.
     """
     if not np.isfinite(c).all():
         raise ValueError("taps must be finite")
