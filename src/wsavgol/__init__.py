@@ -35,6 +35,7 @@ from .smoothing import SignalSeries, smooth, stream_smooth
 from .verify import (
     VerificationReport,
     certify,
+    certify_window,
     eigenvalues_of_tw,
     expected_tw_eigenvalues,
     hessian,
@@ -71,6 +72,7 @@ __all__ = [
     "VerificationReport",
     "WeightVector",
     "certify",
+    "certify_window",
     "closed_forms",
     "constant_weights",
     "custom_weights",

@@ -207,6 +207,20 @@ def orthonormalize_columns(columns: np.ndarray, weight_values: np.ndarray) -> np
     return np.linalg.solve(lo, v.T).swapaxes(-1, -2)
 
 
+def center_projections(a: np.ndarray) -> np.ndarray:
+    """Center rows A_n A_n[m]' of every nested basis A_n = A[..., :n], n = 1..N.
+
+    a is a basis from orthonormalize_columns on an odd window, shape
+    (..., q, N), m = (q+1)/2.  Column k of it combines only columns 0..k
+    of the basis it was built from, so its first n columns are the basis
+    of size n: the sizes nest, and their center rows are one cumulative
+    sum over the columns, shape (..., N, q).  Times the weights, row n-1
+    is the center taps of basis size n.
+    """
+    m = (a.shape[-2] + 1) // 2
+    return np.cumsum(a * a[..., m - 1, None, :], axis=-1).swapaxes(-1, -2)
+
+
 def design_coefficients(spec: FilterSpec) -> FilterCoefficients:
     """Design filter taps c = W A A' u, row j of the hat matrix.
 

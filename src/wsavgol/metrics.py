@@ -20,6 +20,7 @@ import numpy as np
 # metrics.design to count redesigns.
 from .design import (  # noqa: F401
     FilterCoefficients,
+    center_projections,
     check_taps,
     design,
     legendre_basis,
@@ -199,9 +200,10 @@ def exact_ratio_table(q: int, n_max: int) -> list[ExactRatios]:
     stacked, are orthonormalized against one even Legendre basis of
     degree 2(n_max-1).  Column k of that basis combines only the
     polynomials of degrees 0..2k, so its first n columns are the basis of
-    basis size n: the degrees nest.  The center taps of basis size n are
-    then w * sum_{k<n} a_k a_k[m], one cumulative sum over the columns.
-    Every row passes FilterCoefficients' checks; no filter is designed.
+    basis size n: the degrees nest.  The center taps of every basis size
+    are then w times one cumulative sum over the columns,
+    design.center_projections.  Every row passes FilterCoefficients'
+    checks; no filter is designed.
 
     Raises:
         ValueError: for an even or non-positive window, an n_max outside
@@ -221,7 +223,7 @@ def exact_ratio_table(q: int, n_max: int) -> list[ExactRatios]:
     else:
         w = np.stack([spec.weight.unit_values for spec in specs])
         a = orthonormalize_columns(legendre_basis(q, degree, even=True), w)
-        taps = w[:, None, :] * np.cumsum(a * a[:, m - 1, None, :], axis=-1).swapaxes(-1, -2)
+        taps = w[:, None, :] * center_projections(a)
     check_taps(taps, symmetric=True)
     r, s = (v.tolist() for v in _r_and_s(taps))
     return [ExactRatios(q=q, n=n + 1, m=m, r0=r[0][n], r1=r[1][n], r2=r[2][n],

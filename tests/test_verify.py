@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from wsavgol import verify
+from wsavgol.cli import main
 from wsavgol.design import design, legendre_basis, orthonormalize_columns
 from wsavgol.metrics import smoothing_parameter
 from wsavgol.verify import (
+    VerificationReport,
     central_binomial,
     certify,
+    certify_window,
     eigenvalues_of_tw,
     expected_tw_eigenvalues,
     hessian,
@@ -335,3 +339,99 @@ class TestBasisHelpers:
         assert b.shape == (7, 3)
         assert_allclose(b[:, 0], np.full(7, 1 / np.sqrt(7)), rtol=1e-15, atol=0)
         assert_allclose(b[:, 1], -b[::-1, 1], rtol=0, atol=1e-15)
+
+
+def _window_pairs():
+    """(q, n_max, seed): odd q from 3 to 31, n_max = min(7, m - 1), seeds 0 and 1."""
+    for q in range(3, 32, 2):
+        for seed in (0, 1):
+            yield q, min(7, (q + 1) // 2 - 1), seed
+
+
+def _assert_reports_match(got: VerificationReport, want: VerificationReport, atol=1e-15):
+    """Every float field within atol, float tuples entry by entry; the rest equal."""
+    for name in VerificationReport.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(a, float) or isinstance(b, float):
+            assert abs(a - b) <= atol, (name, a, b)
+        elif isinstance(a, tuple) and a:
+            assert len(a) == len(b), name
+            assert np.max(np.abs(np.subtract(a, b))) <= atol, name
+        else:
+            assert a == b, (name, a, b)
+
+
+class TestCertifyWindow:
+    @pytest.mark.parametrize("q,n_max,seed", list(_window_pairs()))
+    def test_report_n_equals_certify_at_basis_size_n(self, q, n_max, seed):
+        reports = certify_window(q, n_max, seed=seed)
+        assert [rep.n for rep in reports] == list(range(1, n_max + 1))
+        for rep in reports:
+            assert rep.q == q
+            _assert_reports_match(rep, certify(q, rep.n, seed=seed))
+
+    @pytest.mark.parametrize("q,n_max,seed", list(_window_pairs()))
+    def test_rows_equal_the_per_size_functions(self, q, n_max, seed):
+        w = quadratic_weights(q)
+        for rep in certify_window(q, n_max, seed=seed):
+            n = rep.n
+            assert_allclose(rep.gradient, smoothness_gradient(q, n, w), rtol=0, atol=1e-15)
+            least = np.linalg.eigvalsh(hessian(q, n)).min()
+            assert abs(rep.min_hessian_eigenvalue - least) <= 1e-15
+            assert abs(rep.perturbation_min_delta
+                       - perturbation_minimality(q, n, seed=seed)) <= 1e-15
+            if q <= 12:
+                assert abs(rep.lambda_min_observed - lambda_min_observed(q, n)) <= 1e-15
+
+    @pytest.mark.parametrize("weights", [constant_weights, triangular_weights])
+    def test_custom_weights(self, weights):
+        q, w = 9, weights(9)
+        reports = certify_window(q, 4, weight=w)
+        for rep in reports:
+            n = rep.n
+            _assert_reports_match(rep, certify(q, n, weight=w))
+            assert_allclose(rep.gradient, smoothness_gradient(q, n, w), rtol=0, atol=1e-15)
+            gap = (smoothness_of_weights(q, n, quadratic_weights(q))
+                   - smoothness_of_weights(q, n, w))
+            assert abs(rep.perturbation_min_delta - gap) <= 1e-15
+            assert rep.min_hessian_eigenvalue is None and rep.hessian_spectrum == ()
+            assert not rep.passed
+
+    def test_verify_builds_one_basis_per_window(self, monkeypatch, capsys):
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return orthonormalize_columns(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "orthonormalize_columns", counted)
+        assert main(["verify", "--max-window", "31", "--max-degree", "6"]) == 0
+        capsys.readouterr()
+        assert len(builds) == 15  # one per odd window 3..31
+
+    def test_weight_length_names_the_window(self):
+        with pytest.raises(ValueError) as info:
+            certify(7, 1, weight=constant_weights(5))
+        assert str(info.value) == "weight vector has length 5, window needs 7"
+
+    def test_negative_seed_names_the_seed(self):
+        for call in (lambda: certify(5, 1, seed=-1), lambda: certify_window(9, 3, seed=-1)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "seed must be >= 0, got -1"
+
+    @pytest.mark.parametrize("weight_file", [False, True])
+    def test_negative_seed_through_main(self, capsys, tmp_path, weight_file):
+        argv = ["verify", "--max-window", "5", "--seed", "-1"]
+        if weight_file:
+            path = tmp_path / "w.txt"
+            path.write_text("1.0 2.0 3.0 2.0 1.0\n")
+            argv += ["--weight-file", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("q,n_max,match", [(8, 2, "odd"), (9, 5, "n < m = 5"),
+                                               (9, 0, "n < m = 5")])
+    def test_window_and_size_validation(self, q, n_max, match):
+        with pytest.raises(ValueError, match=match):
+            certify_window(q, n_max)
