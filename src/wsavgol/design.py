@@ -3,7 +3,7 @@
 The filter tap vector is the linear functional that evaluates, at one
 chosen sample of a q-sample window, the polynomial that best fits the
 window in the weighted least-squares sense.  Its construction is one
-projection: with A a weight-orthonormal Legendre basis on the window,
+projection: with A the weight-orthonormal polynomials on the window,
 every tap vector is a row of the hat matrix W A A'.  The test suite
 holds the taps to an exact rational solve of the normal equations.
 """
@@ -30,8 +30,9 @@ _WEIGHT_FACTORIES = {
 
 DC_GAIN_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
-# Relative Cholesky pivot below which a basis column is dependent on the
-# ones before it: well-posed fits keep pivots near 1, rank-deficient ones ~1e-8.
+# Weighted norm of a new basis column, made orthogonal to the ones before
+# it, at or below which it depends on them.  It is relative: the column
+# before it times t has weighted norm at most 1.
 DEGENERATE_TOL = 1e-6
 
 
@@ -90,13 +91,15 @@ class FilterSpec:
 
     @property
     def even_basis(self) -> bool:
-        """True when the fit drops odd degrees: at the center of an odd
-        window under symmetric weights they add nothing to the value."""
+        """True when odd degrees add nothing to the fitted value: at the
+        center of an odd window under symmetric weights.  The fit then
+        stops at the even degree 2*(degree // 2) and its taps are symmetric."""
         return self.is_centered and self.weight.is_symmetric
 
     @property
     def n_columns(self) -> int:
-        """Number of basis columns the fit actually uses."""
+        """Basis size n of the fit: its even degrees where even_basis holds,
+        else all degree + 1 of them."""
         if self.even_basis:
             return self.degree // 2 + 1
         return self.degree + 1
@@ -162,60 +165,51 @@ class FilterCoefficients:
         return np.asarray(self.taps, dtype=float)
 
 
-def legendre_basis(q: int, degree: int, even: bool = False) -> np.ndarray:
-    """Legendre polynomials P_0..P_degree on a q-sample window scaled to [-1, 1].
+def orthonormalize_columns(weight_values: np.ndarray, n: int) -> np.ndarray:
+    """The first n weight-orthonormal polynomials on the window, A'WA = I.
 
-    Built by the recurrence (k+1) P_{k+1} = (2k+1) t P_k - k P_{k-1}; even=True
-    keeps the even degrees only.  Unlike powers of the sample offset, these
-    columns stay well conditioned as the window and the degree grow.
-    """
-    t = (2.0 * np.arange(q) - (q - 1)) / max(q - 1, 1)
-    p = np.empty((degree + 1, q))
-    p[0] = 1.0
-    if degree:
-        p[1] = t
-    for k in range(1, degree):
-        p[k + 1] = ((2 * k + 1) * t * p[k] - k * p[k - 1]) / (k + 1)
-    return (p[::2] if even else p).T
-
-
-def orthonormalize_columns(columns: np.ndarray, weight_values: np.ndarray) -> np.ndarray:
-    """Weight-orthonormal basis A = V L^{-T}, A'WA = I, with LL' = V'WV.
-
-    Column k of A combines columns 0..k of V, as Gram-Schmidt would, so a
-    basis of increasing degree stays one.  Every tap, edge fit and
-    derivative comes from this one factorization.  A stack of weightings,
-    shape (..., q), gives the stack of bases, shape (..., q, n), from one
-    batched Cholesky and one batched solve.
+    The window is the abscissa t = (2i - (q-1))/(q-1), i = 0..q-1, in
+    [-1, 1].  Column 0 is 1/sqrt(sum w); column k+1 is t times column k,
+    made w-orthogonal to columns 0..k by one classical Gram-Schmidt pass
+    and divided by its weighted norm beta (the Stieltjes recurrence).  The
+    normal equations are never formed, so their squared conditioning
+    never enters.  Column k is a polynomial of degree k, so a basis of
+    increasing size stays one.
+    A stack of weightings, shape (..., q), gives the stack of bases,
+    shape (..., q, n).
 
     Raises:
-        numpy.linalg.LinAlgError: if the columns are linearly dependent
-            under any of the weightings (a pivot below DEGENERATE_TOL).
+        numpy.linalg.LinAlgError: if a column is dependent on the ones
+            before it under any of the weightings (beta <= DEGENERATE_TOL),
+            as when n > q.
     """
     w = np.asarray(weight_values, dtype=float)
-    v = np.asarray(columns, dtype=float)
-    if w.shape[-1:] != (v.shape[0],):
-        raise ValueError("weight vector does not match basis rows")
-    g = v.T @ (w[..., :, None] * v)
-    try:
-        lo = np.linalg.cholesky(g)
-        degenerate = (lo.diagonal(0, -2, -1) <= DEGENERATE_TOL * np.sqrt(g.diagonal(0, -2, -1))).any()
-    except np.linalg.LinAlgError:
-        degenerate = True
-    if degenerate:
-        raise np.linalg.LinAlgError("basis columns are weight-degenerate; cannot orthonormalize")
-    return np.linalg.solve(lo, v.T).swapaxes(-1, -2)
+    q = w.shape[-1]
+    t = (2.0 * np.arange(q) - (q - 1)) / max(q - 1, 1)
+    # Row k of p is column k of A.
+    p = np.empty(w.shape[:-1] + (n, q))
+    p[..., 0, :] = 1.0 / np.sqrt(w.sum(axis=-1, keepdims=True))
+    for k in range(n - 1):
+        u = t * p[..., k, :]
+        prev = p[..., : k + 1, :]
+        u -= ((prev @ (w * u)[..., :, None]).swapaxes(-1, -2) @ prev)[..., 0, :]
+        beta = np.sqrt((w * u * u).sum(axis=-1, keepdims=True))
+        if (beta <= DEGENERATE_TOL).any():
+            raise np.linalg.LinAlgError(
+                "basis columns are weight-degenerate; cannot orthonormalize")
+        p[..., k + 1, :] = u / beta
+    return p.swapaxes(-1, -2)
 
 
 def center_projections(a: np.ndarray) -> np.ndarray:
     """Center rows A_n A_n[m]' of every nested basis A_n = A[..., :n], n = 1..N.
 
     a is a basis from orthonormalize_columns on an odd window, shape
-    (..., q, N), m = (q+1)/2.  Column k of it combines only columns 0..k
-    of the basis it was built from, so its first n columns are the basis
-    of size n: the sizes nest, and their center rows are one cumulative
-    sum over the columns, shape (..., N, q).  Times the weights, row n-1
-    is the center taps of basis size n.
+    (..., q, N), m = (q+1)/2.  Column k of it is a polynomial of degree
+    k, so its first n columns are the basis of size n: the sizes nest,
+    and their center rows are one cumulative sum over the columns, shape
+    (..., N, q).  Times the weights, row n-1 is the center taps of basis
+    size n.
     """
     m = (a.shape[-2] + 1) // 2
     return np.cumsum(a * a[..., m - 1, None, :], axis=-1).swapaxes(-1, -2)
@@ -224,8 +218,9 @@ def center_projections(a: np.ndarray) -> np.ndarray:
 def design_coefficients(spec: FilterSpec) -> FilterCoefficients:
     """Design filter taps c = W A A' u, row j of the hat matrix.
 
-    A is the weight-orthonormal Legendre basis of the fit and u selects
-    the evaluation index j; c equals the normal-equations solution
+    A holds the weight-orthonormal polynomials of degrees 0..degree,
+    2*(degree // 2) where spec.even_basis holds, and u selects the
+    evaluation index j; c equals the normal-equations solution
     W X (X'WX)^{-1} X' u for the power basis X.  W holds the weights
     scaled to a largest entry near 1 (WeightVector.unit_values), which
     leaves c unchanged bit for bit and keeps W A A' u in range.  A
@@ -238,7 +233,8 @@ def design_coefficients(spec: FilterSpec) -> FilterCoefficients:
     if spec.q == 1:
         return FilterCoefficients((1.0,), spec)
     w = spec.weight.unit_values
-    a = orthonormalize_columns(legendre_basis(spec.q, spec.degree, spec.even_basis), w)
+    n = 2 * (spec.degree // 2) + 1 if spec.even_basis else spec.degree + 1
+    a = orthonormalize_columns(w, n)
     c = w * (a @ a[spec.evaluation_index - 1])
     return FilterCoefficients(tuple(c.tolist()), spec)
 
@@ -246,8 +242,8 @@ def design_coefficients(spec: FilterSpec) -> FilterCoefficients:
 def polyfit_edges(spec: FilterSpec, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polyfit outputs at the m-1 samples on each end of a record y of >= q samples.
 
-    Each end is fitted once, b = A'(w * window), A the full weight-orthonormal
-    Legendre basis 0..spec.degree and w the scaled weights of
+    Each end is fitted once, b = A'(w * window), A the weight-orthonormal
+    polynomials of degrees 0..spec.degree and w the scaled weights of
     design_coefficients, and evaluated off center as A[j] b: the
     outputs of the taps w * (A A[j]) without forming them, in O(q (degree + 1))
     memory.
@@ -268,7 +264,7 @@ def polyfit_edges(spec: FilterSpec, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     if n > q:
         raise ValueError(f"{n} basis columns exceed window length {q}")
     w = spec.weight.unit_values
-    a = orthonormalize_columns(legendre_basis(q, spec.degree), w)
+    a = orthonormalize_columns(w, n)
     sums = a @ (w @ a)
     off = np.abs(sums - 1.0) > DC_GAIN_TOL
     if off.any():

@@ -23,7 +23,6 @@ from .design import (  # noqa: F401
     center_projections,
     check_taps,
     design,
-    legendre_basis,
     make_spec,
     orthonormalize_columns,
 )
@@ -197,13 +196,13 @@ def exact_ratio_table(q: int, n_max: int) -> list[ExactRatios]:
     """ExactRatios of window q for every basis size n = 1..n_max, in order.
 
     All rows come from one stacked projection.  The three weightings,
-    stacked, are orthonormalized against one even Legendre basis of
-    degree 2(n_max-1).  Column k of that basis combines only the
-    polynomials of degrees 0..2k, so its first n columns are the basis of
-    basis size n: the degrees nest.  The center taps of every basis size
-    are then w times one cumulative sum over the columns,
-    design.center_projections.  Every row passes FilterCoefficients'
-    checks; no filter is designed.
+    stacked, get one basis of the degrees 0..2(n_max-1).  Column k of it
+    is a polynomial of degree k, so its first 2n-1 columns are the basis
+    of basis size n, the even degrees 0..2(n-1) with the odd ones between
+    them, which add nothing at the center: the sizes nest.  The center
+    taps of every basis size are then w times every other row of one
+    cumulative sum over the columns, design.center_projections.  Every
+    row passes FilterCoefficients' checks; no filter is designed.
 
     Raises:
         ValueError: for an even or non-positive window, an n_max outside
@@ -222,8 +221,8 @@ def exact_ratio_table(q: int, n_max: int) -> list[ExactRatios]:
         taps = np.ones((len(specs), 1, 1))
     else:
         w = np.stack([spec.weight.unit_values for spec in specs])
-        a = orthonormalize_columns(legendre_basis(q, degree, even=True), w)
-        taps = w[:, None, :] * center_projections(a)
+        a = orthonormalize_columns(w, 2 * n_max - 1)
+        taps = w[:, None, :] * center_projections(a)[:, ::2]
     check_taps(taps, symmetric=True)
     r, s = (v.tolist() for v in _r_and_s(taps))
     return [ExactRatios(q=q, n=n + 1, m=m, r0=r[0][n], r1=r[1][n], r2=r[2][n],
@@ -345,7 +344,7 @@ def metrics_report(coeffs: FilterCoefficients) -> MetricsReport:
     s = smoothing_parameter(coeffs)
     if not spec.is_centered:
         return MetricsReport(r=r, s=s, q=spec.q, n=spec.n_columns, m=None)
-    # The references are symmetric-weight designs, even-only basis.
+    # The references are symmetric-weight designs: n counts the even degrees.
     n = spec.degree // 2 + 1
     m = spec.m
     exact = exact_ratios(spec.q, n) if n <= m else None

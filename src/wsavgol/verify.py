@@ -8,22 +8,22 @@ second-difference operator T with the diagonal weight matrix W: at the
 quadratic profile its eigenvalues are i(i+1)/2 and its eigenvectors are
 weight-orthogonal polynomials of increasing degree.
 
-Everything here works with the full Legendre basis P_0, ..., P_{n-1}
-(not the even-only basis the design module uses at the center), since
-the eigenstructure enumerates polynomial degrees one by one.  All
-checks are plain numerical linear algebra with pinned tolerances; the
-module produces evidence, not proofs.
+Everything here works with the weight-orthonormal polynomials of every
+degree 0..n-1 (the basis size n counts all degrees, where a centered
+design counts the even ones), since the eigenstructure enumerates
+polynomial degrees one by one.  All checks are plain numerical linear
+algebra with pinned tolerances; the module produces evidence, not proofs.
 
 The certificate runs a whole window at once (certify_window).  The
 quadratic weights and 100 randomly perturbed copies of them, one stack
-drawn once per window, are orthonormalized in one batched call against
-the Legendre basis of the largest size.  Column k of a basis from
-design.orthonormalize_columns combines only the degrees 0..k, so the
-basis of size n is its first n columns: the sizes nest, every size shares
-the one perturbation stack, and the center taps of every size are one
-cumulative sum over the columns (design.center_projections).  The
-per-(q, n) functions below build the basis of one size and share their
-formulas with the window through private helpers that take a basis.
+drawn once per window, are orthonormalized in one batched call at the
+largest size.  Column k of a basis from design.orthonormalize_columns
+is a polynomial of degree k, so the basis of size n is its first n
+columns: the sizes nest, every size shares the one perturbation stack,
+and the center taps of every size are one cumulative sum over the
+columns (design.center_projections).  The per-(q, n) functions below
+build the basis of one size and share their formulas with the window
+through private helpers that take a basis.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import center_projections, legendre_basis, orthonormalize_columns
+from .design import center_projections, orthonormalize_columns
 from .weights import (
     SecondDifferenceMatrix,
     WeightVector,
@@ -61,9 +61,13 @@ PERTURBATION_EPSILON = 1e-2
 CERTIFIED_EIGEN_WINDOW = 12
 
 
-def _weight_array(weight) -> np.ndarray:
+def _weight_array(weight, q: int) -> np.ndarray:
+    """The weights as an array, which must be q long: the basis takes its
+    window length from them."""
     if not isinstance(weight, WeightVector):
         weight = custom_weights(weight)
+    if weight.q != q:
+        raise ValueError(f"weight vector has length {weight.q}, window needs {q}")
     return weight.as_array()
 
 
@@ -101,21 +105,19 @@ def orthonormal_polynomial_basis(q: int, n: int, weight=None) -> np.ndarray:
     Defaults to the quadratic weights, where the columns are
     eigenvectors of TW with eigenvalues 1, 3, 6, ..., n(n+1)/2.
     """
-    w = quadratic_weights(q).as_array() if weight is None else _weight_array(weight)
-    return _polynomial_basis(q, n, w)
-
-
-def _polynomial_basis(q: int, n: int, w: np.ndarray) -> np.ndarray:
     if not 1 <= n <= q:
         raise ValueError(f"basis size {n} outside 1..{q}")
-    return orthonormalize_columns(legendre_basis(q, n - 1), w)
+    w = quadratic_weights(q).as_array() if weight is None else _weight_array(weight, q)
+    return orthonormalize_columns(w, n)
 
 
 def _center_projection(q: int, n: int, w: np.ndarray):
     """A and g = AA'u for the center selector u at basis size n; w may be a stack."""
     if q % 2 == 0:
         raise ValueError("center-based checks need an odd window")
-    a = _polynomial_basis(q, n, w)
+    if not 1 <= n <= q:
+        raise ValueError(f"basis size {n} outside 1..{q}")
+    a = orthonormalize_columns(w, n)
     return a, center_projections(a)[..., -1, :]
 
 
@@ -175,7 +177,7 @@ def _perturbed_weights(w: np.ndarray, trials: int, epsilon: float, seed: int) ->
 
 def smoothness_of_weights(q: int, n: int, weight) -> float:
     """s of the size-n center filter designed at the given weights."""
-    return float(_smoothness(q, n, _weight_array(weight)))
+    return float(_smoothness(q, n, _weight_array(weight, q)))
 
 
 def smoothness_gradient(q: int, n: int, weight) -> np.ndarray:
@@ -193,7 +195,7 @@ def smoothness_gradient(q: int, n: int, weight) -> np.ndarray:
     beyond the float range, as at weights near 1e-323, read inf.
     """
     _check_center_size(q, n, "gradient")
-    w, k = _unit_scaled(_weight_array(weight))
+    w, k = _unit_scaled(_weight_array(weight, q))
     a, g = _center_projection(q, n, w)
     return _gradient(a, g, w, k)
 
@@ -349,8 +351,8 @@ def _eigen_checks(q: int, a: np.ndarray, w: np.ndarray, spectra: np.ndarray) -> 
 
     a is the basis of size N at the quadratic weights w, unscaled, and
     spectra the projected-operator spectra of the sizes.  The spectrum of
-    T W is one check for the window; the Gram matrix and the eigen
-    relation of size n are the leading n columns of those of size N.
+    T W is one check for the window; the orthonormality A'WA and the
+    eigen relation of size n are the leading n columns of those of size N.
     """
     observed = eigenvalues_of_tw(q)
     expected = expected_tw_eigenvalues(q)
@@ -398,14 +400,13 @@ def certify_window(q: int, n_max: int, seed: int = 0, weight=None) -> list[Verif
     One basis build serves every size.  The quadratic weights and their
     PERTURBATION_TRIALS perturbed copies, drawn once for the window, are
     stacked (the custom and the quadratic weights under a custom
-    weighting) and orthonormalized against the Legendre basis of degree
-    n_max - 1.  Column k of that basis combines only the degrees 0..k, so
-    the basis of size n is its first n columns, and the center taps of
-    every size are one cumulative sum over the columns,
-    design.center_projections.  The gradient, Hessian, s and perturbation
-    minimum of each size are read from these slices; the Hessians, and at
-    q <= CERTIFIED_EIGEN_WINDOW the projected operators, each go through
-    one batched eigensolve.
+    weighting) and orthonormalized at basis size n_max.  Column k of that
+    basis is a polynomial of degree k, so the basis of size n is its
+    first n columns, and the center taps of every size are one cumulative
+    sum over the columns, design.center_projections.  The gradient,
+    Hessian, s and perturbation minimum of each size are read from these
+    slices; the Hessians, and at q <= CERTIFIED_EIGEN_WINDOW the projected
+    operators, each go through one batched eigensolve.
 
     Raises:
         ValueError: for an even window, an n_max outside 1..m-1 with
@@ -423,14 +424,12 @@ def certify_window(q: int, n_max: int, seed: int = 0, weight=None) -> list[Verif
         w, k = _unit_scaled(_perturbed_weights(quad, PERTURBATION_TRIALS,
                                                PERTURBATION_EPSILON, seed))
     else:
-        custom = _weight_array(weight)
-        if custom.size != q:
-            raise ValueError(f"weight vector has length {custom.size}, window needs {q}")
+        custom = _weight_array(weight, q)
         # Each weighting scaled on its own: a custom one may sit anywhere in
         # the float range, far from the quadratic weights.
         custom, k = _unit_scaled(custom)
         w = np.stack((custom, quadratic_weights(q).unit_values))
-    a = _polynomial_basis(q, n_max, w)
+    a = orthonormalize_columns(w, n_max)
     g = center_projections(a)
     s = _difference_energy(w[:, None, :] * g)
     grads = [_gradient(a[0, :, :n], g[0, n - 1], w[0], k) for n in sizes]

@@ -29,7 +29,7 @@ def _unit_scaled(w: np.ndarray) -> tuple[np.ndarray, int]:
 
     Fitted taps do not depend on the scale of the weights, and a power of
     two scales exactly: the weight-orthonormal basis of w is that of the
-    scaled weights times 2^-k, bit for bit, and no Gram matrix or weighted
+    scaled weights times 2^-k, bit for bit, and no weighted sum or
     sample overflows.  A stack of weightings shares one k.
     """
     k = math.frexp(w.max())[1] // 2
@@ -82,12 +82,6 @@ class WeightVector:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
-
-    def scaled(self, factor: float) -> "WeightVector":
-        """Return the same profile multiplied by a positive constant."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return WeightVector(tuple(v * factor for v in self.values), self.kind)
 
 
 def _check_window(q: int) -> None:

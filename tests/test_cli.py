@@ -28,6 +28,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class TestParser:
+    def test_one_parser_serves_every_call(self, capsys):
+        argv = ("design", "--window", "25", "--degree", "4", "--weight", "quadratic")
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert first == second and first[0] == 0
+        assert cli.build_parser() is cli.build_parser()
+        code, out, err = run_cli(capsys, "design", "--window", "5", "--bogus")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --bogus" in err
+        assert run_cli(capsys, *argv) == first
+
+
 class TestDesignCommand:
     def test_json_document(self, capsys):
         code, out, _ = run_cli(capsys, "design", "--window", "5", "--degree", "0",
@@ -99,6 +111,14 @@ class TestDesignCommand:
         assert code == 0
         assert_allclose(json.loads(out)["coefficients"],
                         exact_float_taps(make_spec(q, degree)), rtol=0, atol=1e-14)
+
+    def test_near_interpolating_triangular_fit(self, capsys):
+        # one degree short of interpolation, with the small end weights 1/16
+        code, out, err = run_cli(capsys, "design", "--window", "31", "--degree", "30",
+                                 "--weight", "triangular")
+        assert code == 0, err
+        assert_allclose(json.loads(out)["coefficients"],
+                        exact_float_taps(make_spec(31, 30, "triangular")), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("command,expected", [
         (["design", "--window", "5", "--degree", "2"], 0),
@@ -222,20 +242,14 @@ class TestSweepCommand:
                                     err_msg=f"q={q} degree={d} {key}")
 
     def test_exit_codes_near_interpolation(self, capsys):
-        # Exit codes of single-degree sweeps with degree q-8..q-1, as the
-        # per-degree designs gave them before the stacked projection:
-        # negative degrees are usage errors, and the Cholesky kernel's
-        # near-interpolating fits fail the sum-to-one check (2) or the
-        # degeneracy test (1) at these points.
-        failing = {(31, 30): 2, (33, 32): 2, (35, 32): 2, (35, 33): 2, (35, 34): 2,
-                   (37, 34): 2, (37, 35): 2, (37, 36): 1, (39, 36): 2, (39, 37): 2,
-                   (39, 38): 1, (41, 38): 2, (41, 39): 2, (41, 40): 1}
+        # Exit codes of single-degree sweeps with degree q-8..q-1: negative
+        # degrees are usage errors, and every near-interpolating fit of a
+        # valid degree is designed.
         for q in range(3, 42, 2):
             for d in range(q - 8, q):
                 code, _, _ = run_cli(capsys, "sweep", "--windows", str(q), "--degrees", str(d),
                                      "--format", "json")
-                expected = 2 if d < 0 else failing.get((q, d), 0)
-                assert code == expected, (q, d)
+                assert code == (2 if d < 0 else 0), (q, d)
 
 
 class TestVerifyCommand:

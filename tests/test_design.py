@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from exact_fit import exact_float_taps
+from exact_fit import exact_float_taps, exact_taps, exact_taps_by_differences
 from numpy.testing import assert_allclose
 
 import wsavgol
@@ -13,7 +13,6 @@ from wsavgol.design import (
     check_taps,
     design,
     design_coefficients,
-    legendre_basis,
     make_spec,
     orthonormalize_columns,
     polyfit_edges,
@@ -89,38 +88,6 @@ class TestFilterSpec:
             make_spec(5, 0, "gaussian")
 
 
-class TestVandermonde:
-    """The Legendre basis sampled on the window scaled to [-1, 1]."""
-
-    def test_degree0_center(self):
-        basis = legendre_basis(5, 0)
-        assert basis.shape == (5, 1)
-        assert_allclose(basis[:, 0], np.ones(5), rtol=0, atol=0)
-
-    def test_degree2_center_even_powers(self):
-        basis = legendre_basis(5, 2, even=True)
-        assert basis.shape == (5, 2)
-        assert_allclose(basis[:, 0], np.ones(5), rtol=0, atol=0)
-        assert_allclose(basis[:, 1], [1.0, -0.125, -0.5, -0.125, 1.0], rtol=0, atol=0)
-
-    def test_off_center_grid(self):
-        # an off-center fit keeps every degree on the same grid
-        assert_allclose(legendre_basis(3, 2),
-                        [[1.0, -1.0, 1.0], [1.0, 0.0, -0.5], [1.0, 1.0, 1.0]], rtol=0, atol=0)
-
-    def test_evaluation_point_is_origin(self):
-        basis = legendre_basis(9, 4)
-        assert basis[4, 1] == 0.0
-        assert np.array_equal(basis[::-1, 1], -basis[:, 1])
-
-    def test_matches_numpy_legvander(self):
-        t = np.linspace(-1.0, 1.0, 41)
-        assert_allclose(legendre_basis(41, 12), np.polynomial.legendre.legvander(t, 12),
-                        rtol=0, atol=1e-14)
-        assert_allclose(legendre_basis(41, 12, even=True),
-                        np.polynomial.legendre.legvander(t, 12)[:, ::2], rtol=0, atol=1e-14)
-
-
 class TestDesignCoefficients:
     def test_moving_average(self):
         c = design(5, 0, "constant")
@@ -153,7 +120,8 @@ class TestDesignCoefficients:
 
     def test_scale_invariance(self):
         base = design_coefficients(make_spec(9, 2, quadratic_weights(9)))
-        scaled = design_coefficients(make_spec(9, 2, quadratic_weights(9).scaled(17.5)))
+        weight = custom_weights(quadratic_weights(9).as_array() * 17.5)
+        scaled = design_coefficients(make_spec(9, 2, weight))
         assert_allclose(scaled.as_array(), base.as_array(), atol=1e-12)
 
     def test_odd_degree_equals_even_at_center(self):
@@ -258,7 +226,7 @@ class TestEdgeTaps:
         coeffs = design(25, 4)
         kernel = design_module.orthonormalize_columns
         monkeypatch.setattr(design_module, "orthonormalize_columns",
-                            lambda v, w: kernel(v, w) * (1.0 + 1e-6))
+                            lambda w, n: kernel(w, n) * (1.0 + 1e-6))
         with pytest.raises(ValueError, match=r"taps must sum to 1, got 1\.000002.* at j=1$"):
             smooth(SignalSeries(np.ones(25)), coeffs, edge="polyfit")
 
@@ -291,7 +259,7 @@ class TestOrthonormalRoute:
     @staticmethod
     def center_row(spec):
         w = spec.weight.as_array()
-        a = orthonormalize_columns(legendre_basis(spec.q, spec.degree, spec.even_basis), w)
+        a = orthonormalize_columns(w, 2 * (spec.degree // 2) + 1)
         return w * (a @ a[spec.m - 1])
 
     def test_matches_quadratic_closed_form(self):
@@ -322,9 +290,38 @@ class TestOrthonormalRoute:
     def test_basis_is_weight_orthonormal(self, q, degree, kind):
         spec = make_spec(q, degree, kind)
         w = spec.weight.as_array()
-        a = orthonormalize_columns(legendre_basis(q, degree, spec.even_basis), w)
+        a = orthonormalize_columns(w, degree + 1)
         gram = a.T @ (w[:, None] * a)
-        assert np.max(np.abs(gram - np.eye(spec.n_columns))) < 1e-14
+        assert np.max(np.abs(gram - np.eye(degree + 1))) < 1e-14
+
+
+class TestNearInterpolation:
+    """Fits of degree q-8..q-1 on odd windows up to 41, where the normal
+    matrix of the power basis is at its worst conditioned."""
+
+    GRID = [(q, d) for q in range(3, 42, 2) for d in range(max(q - 8, 0), q)]
+
+    @pytest.mark.parametrize("q,degree,weight,j", [
+        (9, 8, "triangular", None), (9, 6, "quadratic", None), (7, 4, ASYMMETRIC_Q7, None),
+        (6, 3, "constant", 2), (15, 11, "triangular", None)])
+    def test_difference_oracle_is_the_power_basis_solve(self, q, degree, weight, j):
+        spec = make_spec(q, degree, weight, j)
+        for row in range(1, q + 1):
+            assert exact_taps_by_differences(spec, row) == exact_taps(spec, row), row
+
+    @pytest.mark.parametrize("kind", ["constant", "triangular", "quadratic"])
+    def test_center_and_edge_rows_match_exact_fit(self, kind):
+        for q, degree in self.GRID:
+            spec = make_spec(q, degree, kind)
+            m = spec.m
+            rows = sorted({1, m // 2, m - 1} - {0})
+            # Tap i of edge row j is output j of an impulse at window sample i.
+            edges = np.column_stack([polyfit_edges(spec, y)[0] for y in np.eye(q)])
+            checks = [(m, design_coefficients(spec).as_array())]
+            checks += [(j, edges[j - 1]) for j in rows]
+            for j, got in checks:
+                want = [float(t) for t in exact_taps_by_differences(spec, j)]
+                assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{(q, degree)} j={j}")
 
 
 class TestWeightScale:

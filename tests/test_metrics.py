@@ -224,7 +224,7 @@ class TestExactRatioTable:
 
     def test_sum_check_fires_with_the_message_of_filter_coefficients(self, monkeypatch):
         kernel = design_module.orthonormalize_columns
-        off = lambda v, w: kernel(v, w) * (1.0 + 1e-6)  # noqa: E731
+        off = lambda w, n: kernel(w, n) * (1.0 + 1e-6)  # noqa: E731
         pattern = r"^taps must sum to 1, got 1\.000002\d*$"
         monkeypatch.setattr(design_module, "orthonormalize_columns", off)
         with pytest.raises(ValueError, match=pattern):

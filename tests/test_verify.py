@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from wsavgol import verify
 from wsavgol.cli import main
-from wsavgol.design import design, legendre_basis, orthonormalize_columns
+from wsavgol.design import design, orthonormalize_columns
 from wsavgol.metrics import smoothing_parameter
 from wsavgol.verify import (
     VerificationReport,
@@ -311,18 +311,17 @@ class TestCertify:
 
 
 class TestBasisHelpers:
-    def test_orthonormalize_rejects_degenerate_columns(self):
-        cols = np.column_stack([np.ones(4), np.ones(4)])
+    def test_orthonormalize_rejects_more_columns_than_samples(self):
+        # five polynomials on four samples: the fifth depends on the others
         with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
-            orthonormalize_columns(cols, np.ones(4))
+            orthonormalize_columns(np.ones(4), 5)
 
     def test_stack_matches_per_slice_calls(self):
-        cols = legendre_basis(9, 3)
         stack = np.random.default_rng(4).uniform(0.1, 2.0, size=(2, 3, 9))
-        batched = orthonormalize_columns(cols, stack)
+        batched = orthonormalize_columns(stack, 4)
         assert batched.shape == (2, 3, 9, 4)
         for idx in np.ndindex(2, 3):
-            assert_allclose(batched[idx], orthonormalize_columns(cols, stack[idx]),
+            assert_allclose(batched[idx], orthonormalize_columns(stack[idx], 4),
                             rtol=0, atol=1e-16)
 
     @pytest.mark.parametrize("slot", [0, 1, 2])
@@ -331,7 +330,7 @@ class TestBasisHelpers:
         stack = np.ones((3, 5))
         stack[slot] = [1.0, 1e-30, 1e-30, 1e-30, 1.0]
         with pytest.raises(np.linalg.LinAlgError, match="weight-degenerate"):
-            orthonormalize_columns(legendre_basis(5, 2), stack)
+            orthonormalize_columns(stack, 3)
 
     def test_full_power_basis_shape(self):
         # every degree 0..n-1, not the even-only basis of a centered design
@@ -409,9 +408,15 @@ class TestCertifyWindow:
         capsys.readouterr()
         assert len(builds) == 15  # one per odd window 3..31
 
-    def test_weight_length_names_the_window(self):
+    @pytest.mark.parametrize("call", [
+        lambda w: certify(7, 1, weight=w),
+        lambda w: orthonormal_polynomial_basis(7, 2, w),
+        lambda w: smoothness_of_weights(7, 2, w),
+        lambda w: smoothness_gradient(7, 2, w),
+    ], ids=["certify", "basis", "smoothness", "gradient"])
+    def test_weight_length_names_the_window(self, call):
         with pytest.raises(ValueError) as info:
-            certify(7, 1, weight=constant_weights(5))
+            call(constant_weights(5))
         assert str(info.value) == "weight vector has length 5, window needs 7"
 
     def test_negative_seed_names_the_seed(self):

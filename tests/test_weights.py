@@ -221,18 +221,9 @@ class TestValidation:
             WeightVector((), "custom")
 
 
-class TestSymmetryAndScaling:
+class TestSymmetry:
     @pytest.mark.parametrize("q", [1, 2, 3, 8, 9, 40, 41])
     def test_builtin_profiles_exactly_symmetric(self, q):
         for factory in (triangular_weights, quadratic_weights):
             vals = factory(q).values
             assert vals == vals[::-1]
-
-    def test_scaled_keeps_kind(self):
-        w = quadratic_weights(5).scaled(3.0)
-        assert w.kind == "quadratic"
-        assert_allclose(w.values, [7.5, 12.0, 13.5, 12.0, 7.5], rtol=0, atol=0)
-
-    def test_scaled_rejects_nonpositive_factor(self):
-        with pytest.raises(ValueError, match="positive"):
-            constant_weights(3).scaled(0.0)
