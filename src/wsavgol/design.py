@@ -10,7 +10,7 @@ holds the taps to an exact rational solve of the normal equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,7 +69,10 @@ class FilterSpec:
                 )
         elif not 1 <= self.j <= self.q:
             raise ValueError(f"evaluation index {self.j} outside 1..{self.q}")
-        if self.n_columns > self.q:
+        if self.kernel_columns > self.q:
+            if self.even_basis:
+                raise ValueError(f"degree {self.degree} is too high for window {self.q}: "
+                                 f"the largest it takes is {self.q}")
             raise ValueError(
                 f"{self.n_columns} basis columns exceed window length {self.q}"
             )
@@ -102,6 +105,16 @@ class FilterSpec:
         else all degree + 1 of them."""
         if self.even_basis:
             return self.degree // 2 + 1
+        return self.degree + 1
+
+    @property
+    def kernel_columns(self) -> int:
+        """Columns design_coefficients builds: where even_basis holds, the
+        even degrees up to 2*(degree // 2) with the odd degrees between them
+        (one recurrence steps through every degree), else degree + 1.  At
+        most q, so a centered design under symmetric weights takes degree <= q."""
+        if self.even_basis:
+            return 2 * (self.degree // 2) + 1
         return self.degree + 1
 
 
@@ -148,6 +161,10 @@ class FilterCoefficients:
 
     taps: tuple[float, ...]
     spec: FilterSpec
+    # The read-only weight-orthonormal basis the taps were projected on, kept
+    # by design_coefficients for the polyfit edges; None for taps from
+    # anywhere else (coefficient files, dataclasses.replace, closed forms).
+    _basis: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.taps, dtype=float)
@@ -163,6 +180,25 @@ class FilterCoefficients:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.taps, dtype=float)
+
+    def edge_basis(self) -> np.ndarray | None:
+        """The (q, degree + 1) basis of the polyfit edges, read from the design.
+
+        It is the design's own basis except at a symmetric center with an
+        odd degree, where the design stops one column short: there the
+        degree + 1 columns are built on first use and kept.  Their leading
+        columns are the design's bit for bit, so the taps are unchanged.
+        None when the taps carry no basis, or when the edge fit has more
+        columns than the window (polyfit_edges reports that).
+        """
+        a, n = self._basis, self.spec.degree + 1
+        if a is not None and a.shape[-1] < n:
+            if n > self.q:
+                return None
+            a = orthonormalize_columns(self.spec.weight.unit_values, n)
+            a.flags.writeable = False
+            object.__setattr__(self, "_basis", a)
+        return a
 
 
 def orthonormalize_columns(weight_values: np.ndarray, n: int) -> np.ndarray:
@@ -219,34 +255,41 @@ def design_coefficients(spec: FilterSpec) -> FilterCoefficients:
     """Design filter taps c = W A A' u, row j of the hat matrix.
 
     A holds the weight-orthonormal polynomials of degrees 0..degree,
-    2*(degree // 2) where spec.even_basis holds, and u selects the
-    evaluation index j; c equals the normal-equations solution
-    W X (X'WX)^{-1} X' u for the power basis X.  W holds the weights
-    scaled to a largest entry near 1 (WeightVector.unit_values), which
-    leaves c unchanged bit for bit and keeps W A A' u in range.  A
-    length-1 window gives the identity tap [1.0] regardless of weighting.
+    2*(degree // 2) where spec.even_basis holds (spec.kernel_columns),
+    and u selects the evaluation index j; c equals the normal-equations
+    solution W X (X'WX)^{-1} X' u for the power basis X.  W holds the
+    weights scaled to a largest entry near 1 (WeightVector.unit_values),
+    which leaves c unchanged bit for bit and keeps W A A' u in range.
+    The filter keeps A, read-only, and its polyfit edges reuse it
+    (FilterCoefficients.edge_basis).  A length-1 window gives the
+    identity tap [1.0] regardless of weighting.
 
     Raises:
-        numpy.linalg.LinAlgError: if the basis is weight-degenerate
-            (an over-parameterized fit).
+        numpy.linalg.LinAlgError: if the basis is weight-degenerate,
+            as under weights with too few non-negligible samples.
     """
     if spec.q == 1:
         return FilterCoefficients((1.0,), spec)
     w = spec.weight.unit_values
-    n = 2 * (spec.degree // 2) + 1 if spec.even_basis else spec.degree + 1
-    a = orthonormalize_columns(w, n)
+    a = orthonormalize_columns(w, spec.kernel_columns)
+    a.flags.writeable = False
     c = w * (a @ a[spec.evaluation_index - 1])
-    return FilterCoefficients(tuple(c.tolist()), spec)
+    coeffs = FilterCoefficients(tuple(c.tolist()), spec)
+    object.__setattr__(coeffs, "_basis", a)
+    return coeffs
 
 
-def polyfit_edges(spec: FilterSpec, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def polyfit_edges(spec: FilterSpec, y: np.ndarray,
+                  basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Polyfit outputs at the m-1 samples on each end of a record y of >= q samples.
 
     Each end is fitted once, b = A'(w * window), A the weight-orthonormal
     polynomials of degrees 0..spec.degree and w the scaled weights of
     design_coefficients, and evaluated off center as A[j] b: the
     outputs of the taps w * (A A[j]) without forming them, in O(q (degree + 1))
-    memory.
+    memory.  A is `basis`, the filter's own (FilterCoefficients.edge_basis,
+    as `smooth` passes it), or built here when it is None.  A stack of
+    records, shape (..., L), gives stacks of outputs, shape (..., m-1).
 
     Raises:
         ValueError: for a spec that is not center-evaluated, when the
@@ -259,19 +302,19 @@ def polyfit_edges(spec: FilterSpec, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
         raise ValueError("edge taps need a center-evaluated filter")
     q, m = spec.q, spec.m
     if q == 1:
-        return np.empty(0), np.empty(0)
+        return np.empty(y.shape[:-1] + (0,)), np.empty(y.shape[:-1] + (0,))
     n = spec.degree + 1
     if n > q:
         raise ValueError(f"{n} basis columns exceed window length {q}")
     w = spec.weight.unit_values
-    a = orthonormalize_columns(w, n)
+    a = orthonormalize_columns(w, n) if basis is None else basis
     sums = a @ (w @ a)
     off = np.abs(sums - 1.0) > DC_GAIN_TOL
     if off.any():
         k = int(np.argmax(off))
         raise ValueError(f"taps must sum to 1, got {float(sums[k])!r} at j={k + 1}")
-    head, tail = (w * np.stack((y[:q], y[-q:]))) @ a
-    return a[: m - 1] @ head, a[m:] @ tail
+    head, tail = (w * np.stack((y[..., :q], y[..., -q:]))) @ a
+    return head @ a[: m - 1].T, tail @ a[m:].T
 
 
 def quadratic_weight_constant_fit(q: int) -> FilterCoefficients:

@@ -64,8 +64,8 @@ def smooth(signal: SignalSeries, coeffs: FilterCoefficients, edge: str = "polyfi
       mirror   m     reflect the signal about its endpoints, output length L.
       polyfit  q     fit the first and last full windows once each (same
                      window, degree and weights) and evaluate each fit at its
-                     off-center samples (:func:`~wsavgol.design.polyfit_edges`),
-                     output length L.  Memory beyond the signal is O(q (degree + 1)).
+                     off-center samples (:func:`~wsavgol.design.polyfit_edges`,
+                     on the basis coeffs was designed on), output length L.  Memory beyond the signal is O(q (degree + 1)).
 
     mirror and polyfit assume a center-evaluated filter.
 
@@ -89,7 +89,7 @@ def smooth(signal: SignalSeries, coeffs: FilterCoefficients, edge: str = "polyfi
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.convolve(padded, coeffs.as_array()[::-1], mode="valid")
         if edge == "polyfit":
-            head, tail = polyfit_edges(spec, y)
+            head, tail = polyfit_edges(spec, y, coeffs.edge_basis())
             out = np.concatenate((head, out, tail))
     if not np.isfinite(out).all():
         raise RuntimeError("smoothing overflowed: the smoothed signal exceeds the float range")

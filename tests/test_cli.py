@@ -144,9 +144,19 @@ class TestDesignCommand:
         assert code == 2
         assert "positive" in err
 
-    def test_overparameterized_design_fails_with_code_1(self, capsys):
-        code, _, err = run_cli(capsys, "design", "--window", "5", "--degree", "6")
-        assert code == 1
+    @pytest.mark.parametrize("command", ["design", "smooth", "freqresp", "sweep"])
+    def test_overparameterized_design_is_a_validation_error(self, capsys, tmp_path, command):
+        # the centered fit of degree 6 needs 7 kernel columns on 5 samples
+        src = tmp_path / "in.csv"
+        _write_csv(src, ["y"], ["1.0"] * 9)
+        argv = {"design": ["design", "--window", "5", "--degree", "6"],
+                "smooth": ["smooth", "--input", str(src), "--column", "y", "--window", "5",
+                           "--degree", "6"],
+                "freqresp": ["freqresp", "--window", "5", "--degree", "6"],
+                "sweep": ["sweep", "--windows", "5", "--degrees", "6"]}[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: degree 6 is too high for window 5: the largest it takes is 5\n"
 
 
 class TestSweepCommand:

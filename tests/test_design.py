@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import tracemalloc
 
@@ -70,6 +71,15 @@ class TestFilterSpec:
             make_spec(5, 0, j=6)
         with pytest.raises(ValueError, match="outside"):
             make_spec(5, 0, j=0)
+
+    def test_centered_degree_is_capped_by_kernel_columns(self):
+        # the kernel steps through every degree up to 2 * (degree // 2)
+        spec = make_spec(5, 5)
+        assert (spec.n_columns, spec.kernel_columns) == (3, 5)
+        assert make_spec(5, 5, custom_weights([1.0, 2.0, 3.0, 2.0, 1.0])).kernel_columns == 5
+        with pytest.raises(ValueError,
+                           match="^degree 6 is too high for window 5: the largest it takes is 5$"):
+            make_spec(5, 6)
 
     def test_rejects_overparameterized(self):
         with pytest.raises(ValueError, match="exceed window length"):
@@ -148,8 +158,15 @@ class TestDesignCoefficients:
         assert_allclose(c, expected, atol=1e-8)
 
     def test_singular_normal_matrix_is_design_failure(self):
-        with pytest.raises(np.linalg.LinAlgError, match="weight-degenerate"):
+        # 2 * (6 // 2) + 1 = 7 kernel columns cannot fit 5 samples
+        with pytest.raises(ValueError, match="degree 6 is too high for window 5: "
+                                             "the largest it takes is 5"):
             design(5, 6, "constant")
+
+    def test_negligible_weights_are_weight_degenerate(self):
+        # 5 columns on 5 samples, but only 3 of them carry weight
+        with pytest.raises(np.linalg.LinAlgError, match="weight-degenerate"):
+            design(5, 4, [1.0, 1e-20, 1.0, 1e-20, 1.0])
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_asymmetric_weights_reproduce_every_degree(self, degree):
@@ -222,11 +239,10 @@ class TestEdgeTaps:
         with pytest.raises(ValueError, match="6 basis columns exceed window length 5"):
             smooth(SignalSeries(np.ones(5)), design(5, 5), edge="polyfit")
 
-    def test_dc_gain_check_fires_on_every_row(self, monkeypatch):
+    def test_dc_gain_check_fires_on_every_row(self):
         coeffs = design(25, 4)
-        kernel = design_module.orthonormalize_columns
-        monkeypatch.setattr(design_module, "orthonormalize_columns",
-                            lambda w, n: kernel(w, n) * (1.0 + 1e-6))
+        # the edges read the basis the design kept
+        object.__setattr__(coeffs, "_basis", coeffs.edge_basis() * (1.0 + 1e-6))
         with pytest.raises(ValueError, match=r"taps must sum to 1, got 1\.000002.* at j=1$"):
             smooth(SignalSeries(np.ones(25)), coeffs, edge="polyfit")
 
@@ -252,6 +268,94 @@ class TestEdgeTaps:
             tracemalloc.stop()
         assert peak <= 16 * 2**20, peak
 
+    def test_stack_of_records_matches_each_record(self):
+        spec = make_spec(11, 3, "quadratic")
+        ys = np.random.default_rng(4).standard_normal((2, 3, 40))
+        head, tail = polyfit_edges(spec, ys)
+        assert head.shape == tail.shape == (2, 3, 5)
+        for k in np.ndindex(2, 3):
+            for got, want in zip((head[k], tail[k]), polyfit_edges(spec, ys[k])):
+                assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def _asymmetric(q):
+    return [1.0 + (3 * i) % 7 for i in range(q)]
+
+
+class TestBasisReuse:
+    """The polyfit edges of a designed filter read the basis of its design."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        kernel = design_module.orthonormalize_columns
+
+        def counted(w, n):
+            calls.append(n)
+            return kernel(w, n)
+        monkeypatch.setattr(design_module, "orthonormalize_columns", counted)
+        return calls
+
+    @pytest.mark.parametrize("q,degree,weight", [(25, 4, "quadratic"), (11, 2, "constant"),
+                                                 (7, 0, "triangular"), (7, 3, ASYMMETRIC_Q7)])
+    def test_design_basis_serves_the_edges(self, builds, q, degree, weight):
+        coeffs = design(q, degree, weight)
+        assert len(builds) == 1
+        sig = SignalSeries(np.arange(3.0 * q))
+        smooth(sig, coeffs, edge="polyfit")
+        smooth(sig, coeffs, edge="polyfit")
+        assert len(builds) == 1
+
+    def test_odd_degree_at_symmetric_center_builds_its_edge_basis_once(self, builds):
+        coeffs = design(25, 3, "quadratic")
+        assert builds == [3]
+        sig = SignalSeries(np.arange(50.0))
+        smooth(sig, coeffs, edge="polyfit")
+        assert builds == [3, 4]
+        smooth(sig, coeffs, edge="polyfit")
+        assert builds == [3, 4]
+
+    def test_taps_from_elsewhere_build_their_own(self, builds):
+        coeffs = quadratic_weight_constant_fit(9)
+        sig = SignalSeries(np.arange(20.0))
+        smooth(sig, coeffs, edge="polyfit")
+        smooth(sig, coeffs, edge="polyfit")
+        assert builds == [1, 1]
+
+    def test_basis_takes_no_part_in_identity(self):
+        coeffs = design(9, 2, "triangular")
+        plain = FilterCoefficients(coeffs.taps, coeffs.spec)
+        assert plain.edge_basis() is None
+        assert dataclasses.replace(coeffs).edge_basis() is None
+        assert coeffs.edge_basis().shape == (9, 3)
+        assert not coeffs.edge_basis().flags.writeable
+        assert coeffs == plain and hash(coeffs) == hash(plain) and repr(coeffs) == repr(plain)
+        with pytest.raises(TypeError):
+            FilterCoefficients(coeffs.taps, coeffs.spec, coeffs.edge_basis())
+
+    @pytest.mark.parametrize("kind", ["constant", "triangular", "quadratic", "asymmetric"])
+    def test_reused_basis_is_bit_identical_to_a_fresh_one(self, kind):
+        rng = np.random.default_rng(5)
+        for q in range(3, 62, 2):
+            weight = _asymmetric(q) if kind == "asymmetric" else kind
+            for degree in range(11):
+                try:
+                    spec = make_spec(q, degree, weight)
+                except ValueError:
+                    continue
+                coeffs = design_coefficients(spec)
+                fresh = FilterCoefficients(coeffs.taps, coeffs.spec)
+                for n in (q, 3 * q):
+                    sig = SignalSeries(rng.standard_normal(n))
+                    if degree + 1 > q:
+                        for c in (coeffs, fresh):
+                            with pytest.raises(ValueError, match="basis columns exceed"):
+                                smooth(sig, c, edge="polyfit")
+                        continue
+                    got = smooth(sig, coeffs, edge="polyfit").values
+                    want = smooth(sig, fresh, edge="polyfit").values
+                    assert np.array_equal(got, want), (q, degree, n)
+
 
 class TestOrthonormalRoute:
     """Taps from the one projection kernel: W A A' u with A'WA = I."""
@@ -272,9 +376,11 @@ class TestOrthonormalRoute:
     @pytest.mark.parametrize("degree", [0, 2, 4])
     @pytest.mark.parametrize("kind", ["constant", "triangular", "quadratic"])
     def test_agrees_with_normal_equations(self, q, degree, kind):
+        if degree > q:
+            with pytest.raises(ValueError, match=f"degree {degree} is too high for window {q}"):
+                make_spec(q, degree, kind)
+            return
         spec = make_spec(q, degree, kind)
-        if spec.n_columns > spec.m:
-            pytest.skip("over-parameterized center fit")
         assert_allclose(design_coefficients(spec).as_array(), exact_float_taps(spec),
                         rtol=0, atol=1e-13)
 
@@ -316,7 +422,7 @@ class TestNearInterpolation:
             m = spec.m
             rows = sorted({1, m // 2, m - 1} - {0})
             # Tap i of edge row j is output j of an impulse at window sample i.
-            edges = np.column_stack([polyfit_edges(spec, y)[0] for y in np.eye(q)])
+            edges = polyfit_edges(spec, np.eye(q))[0].T
             checks = [(m, design_coefficients(spec).as_array())]
             checks += [(j, edges[j - 1]) for j in rows]
             for j, got in checks:
