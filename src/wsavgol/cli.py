@@ -375,12 +375,10 @@ def cmd_sweep(args) -> int:
         raise ValueError("empty sweep grid")
     for q in windows:
         _require_odd_window(q)
-    if degrees[0] < 0:
-        raise ValueError(f"degree must be >= 0, got {degrees[0]}")
-    # A degree d fits basis size d // 2 + 1 <= m = (q + 1) / 2, so d <= q.
-    if degrees[-1] > windows[0]:
-        raise ValueError(f"degree {degrees[-1]} is too high for window {windows[0]}: "
-                         f"the largest it takes is {windows[0]}")
+    # Every sweep kind is symmetric, so the grid's extremes on its smallest
+    # window are the points FilterSpec can reject.
+    for degree in (degrees[0], degrees[-1]):
+        make_spec(windows[0], degree)
 
     rows = []
     for q in windows:

@@ -182,23 +182,12 @@ class FilterCoefficients:
         return np.asarray(self.taps, dtype=float)
 
     def edge_basis(self) -> np.ndarray | None:
-        """The (q, degree + 1) basis of the polyfit edges, read from the design.
-
-        It is the design's own basis except at a symmetric center with an
-        odd degree, where the design stops one column short: there the
-        degree + 1 columns are built on first use and kept.  Their leading
-        columns are the design's bit for bit, so the taps are unchanged.
-        None when the taps carry no basis, or when the edge fit has more
-        columns than the window (polyfit_edges reports that).
-        """
-        a, n = self._basis, self.spec.degree + 1
-        if a is not None and a.shape[-1] < n:
-            if n > self.q:
-                return None
-            a = orthonormalize_columns(self.spec.weight.unit_values, n)
-            a.flags.writeable = False
-            object.__setattr__(self, "_basis", a)
-        return a
+        """The design's basis when it has the degree + 1 columns of the
+        polyfit edges, else None, and polyfit_edges builds its own: for taps
+        with no basis, and at a symmetric center with an odd degree, where
+        the design stops one column short."""
+        a = self._basis
+        return a if a is not None and a.shape[-1] == self.spec.degree + 1 else None
 
 
 def orthonormalize_columns(weight_values: np.ndarray, n: int) -> np.ndarray:
@@ -260,8 +249,9 @@ def design_coefficients(spec: FilterSpec) -> FilterCoefficients:
     solution W X (X'WX)^{-1} X' u for the power basis X.  W holds the
     weights scaled to a largest entry near 1 (WeightVector.unit_values),
     which leaves c unchanged bit for bit and keeps W A A' u in range.
-    The filter keeps A, read-only, and its polyfit edges reuse it
-    (FilterCoefficients.edge_basis).  A length-1 window gives the
+    The filter keeps A, read-only, and its polyfit edges reuse it where
+    it has their degree + 1 columns (FilterCoefficients.edge_basis).  A
+    length-1 window gives the
     identity tap [1.0] regardless of weighting.
 
     Raises:
@@ -287,8 +277,9 @@ def polyfit_edges(spec: FilterSpec, y: np.ndarray,
     polynomials of degrees 0..spec.degree and w the scaled weights of
     design_coefficients, and evaluated off center as A[j] b: the
     outputs of the taps w * (A A[j]) without forming them, in O(q (degree + 1))
-    memory.  A is `basis`, the filter's own (FilterCoefficients.edge_basis,
-    as `smooth` passes it), or built here when it is None.  A stack of
+    memory.  A is `basis`, the filter's own where it has degree + 1 columns
+    (FilterCoefficients.edge_basis, as `smooth` passes it), or built here
+    when it is None.  A stack of
     records, shape (..., L), gives stacks of outputs, shape (..., m-1).
 
     Raises:

@@ -347,8 +347,6 @@ def metrics_report(coeffs: FilterCoefficients) -> MetricsReport:
     # The references are symmetric-weight designs: n counts the even degrees.
     n = spec.degree // 2 + 1
     m = spec.m
-    exact = exact_ratios(spec.q, n) if n <= m else None
-    approx = ratio_approximations(m, n) if n <= m else None
     return MetricsReport(
         r=r,
         s=s,
@@ -356,7 +354,7 @@ def metrics_report(coeffs: FilterCoefficients) -> MetricsReport:
         n=n,
         m=m,
         closed=closed_forms(spec.q),
-        exact=exact,
-        general_approx=approx,
+        exact=exact_ratios(spec.q, n),
+        general_approx=ratio_approximations(m, n),
         ma_approx=moving_average_ratio_approximations(spec.q),
     )
