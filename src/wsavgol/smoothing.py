@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -12,6 +13,10 @@ import numpy as np
 from .design import FilterCoefficients, design_coefficients, polyfit_edges  # noqa: F401
 
 EDGE_POLICIES = ("valid", "mirror", "polyfit")
+_OVERFLOW = "smoothing overflowed: the smoothed signal exceeds the float range"
+# Outputs per convolution of an array-sourced stream: bounds its memory,
+# and what a consumer that stops early pays for.
+STREAM_BLOCK = 65_536
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +97,7 @@ def smooth(signal: SignalSeries, coeffs: FilterCoefficients, edge: str = "polyfi
             head, tail = polyfit_edges(spec, y, coeffs.edge_basis())
             out = np.concatenate((head, out, tail))
     if not np.isfinite(out).all():
-        raise RuntimeError("smoothing overflowed: the smoothed signal exceeds the float range")
+        raise RuntimeError(_OVERFLOW)
     absc = signal.abscissa
     if edge == "valid" and absc is not None:
         j0 = spec.evaluation_index - 1
@@ -100,18 +105,73 @@ def smooth(signal: SignalSeries, coeffs: FilterCoefficients, edge: str = "polyfi
     return SignalSeries(out, absc)
 
 
+def _finite_prefix(a: np.ndarray) -> int:
+    """Length of the longest all-finite prefix of a."""
+    finite = np.isfinite(a)
+    return a.size if finite.all() else int(finite.argmin())
+
+
+def _checked_dot(taps: np.ndarray, window: np.ndarray) -> float:
+    """taps.dot(window), raising smooth's RuntimeError where it overflows.
+
+    np.vdot gives the same bits for 1-D float64 arrays, without numpy's
+    floating-point warning.
+    """
+    out = float(np.vdot(taps, window))
+    if not math.isfinite(out):
+        raise RuntimeError(_OVERFLOW)
+    return out
+
+
 def stream_smooth(source: Iterable[float], coeffs: FilterCoefficients) -> Iterator[float]:
     """Filter an unbounded sample stream.
 
     Yields one output per input once the window has filled, delayed by
     m-1 samples relative to the window center; concatenated outputs
-    equal batch smoothing with the `valid` policy.  The internal window
-    buffer has a single owner: do not feed one stream from multiple
-    threads.
+    equal batch smoothing with the `valid` policy.
+
+    The source decides the path:
+
+    - A one-dimensional float64 ``np.ndarray`` x (a view or an
+      ``np.memmap`` too, but no other subclass) is filtered STREAM_BLOCK
+      outputs at a time by `smooth`'s own convolution, so memory beyond
+      the source is O(STREAM_BLOCK + q), a consumer that stops early pays
+      for at most one block, and the outputs equal
+      ``smooth(SignalSeries(x), coeffs, edge="valid").values`` bit for bit.
+    - Any other iterable (a list, another dtype, a masked or 2-D array)
+      is pulled one sample per output (q before the first) through a
+      ring buffer of 2q floats, and each output is ``taps @ window`` bit
+      for bit, window being the last q samples.  Its buffer has a single
+      owner: do not feed one stream from multiple threads.
+
+    Raises:
+        ValueError: at the first NaN or infinite sample, after the
+            outputs of every window that ends before it.
+        RuntimeError: at the first output that overflows the float
+            range, after the outputs before it, as `smooth` does.
     """
     taps = coeffs.as_array()
-    dot = taps.dot
     q = taps.size
+    if type(source) in (np.ndarray, np.memmap) and source.ndim == 1 and source.dtype == np.float64:
+        # One pass even when no window fills, so a short record's
+        # non-finite samples are reported as the ring buffer would.
+        for start in range(0, max(source.size - q + 1, 1), STREAM_BLOCK):
+            block = source[start : start + STREAM_BLOCK + q - 1]
+            bad = _finite_prefix(block)
+            if bad >= q:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = np.convolve(block[:bad], taps[::-1], mode="valid")
+                good = _finite_prefix(out)
+                yield from out[:good].tolist()
+                if good < out.size:
+                    raise RuntimeError(_OVERFLOW)
+            if bad < block.size:
+                raise ValueError("signal contains NaN or infinite samples")
+        return
+    dot = taps.dot
+    # No window of samples within `limit` can overflow, in any order of
+    # summation; past it, each output is checked.
+    limit = np.finfo(np.float64).max / (2.0 * float(np.abs(taps).sum()))
     # Each sample is written at k and k + q, so the last q samples always
     # sit oldest-first in the contiguous slice buf[k : k + q].
     buf = np.empty(2 * q)
@@ -119,8 +179,10 @@ def stream_smooth(source: Iterable[float], coeffs: FilterCoefficients) -> Iterat
     full = False
     for sample in source:
         value = float(sample)
-        if not math.isfinite(value):
-            raise ValueError("signal contains NaN or infinite samples")
+        if not abs(value) <= limit:
+            if not math.isfinite(value):
+                raise ValueError("signal contains NaN or infinite samples")
+            dot = functools.partial(_checked_dot, taps)
         buf[k] = buf[k + q] = value
         k += 1
         if k == q:

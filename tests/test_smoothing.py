@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wsavgol.design import design
+from wsavgol import smoothing
+from wsavgol.design import design, design_coefficients, make_spec
 from wsavgol.metrics import error_reduction_ratio
 from wsavgol.smoothing import SignalSeries, smooth, stream_smooth
+from wsavgol.weights import custom_weights
 
 QUAD_Q5_D0 = np.array([5.0, 8.0, 9.0, 8.0, 5.0]) / 35.0
 
@@ -266,3 +270,149 @@ class TestStreaming:
             streamed = list(stream_smooth(iter(data), design(q, d, kind)))
             expected = [float(taps @ np.array(data[i : i + q])) for i in range(data.size - q + 1)]
             assert streamed == expected, (q, d, kind)
+
+
+def _stream_filters():
+    """Every allowed degree <= 4 of each built-in kind at odd windows 1..101,
+    an asymmetric custom weighting and an off-center filter."""
+    for q in (1, 3, 5, 11, 17, 25, 51, 101):
+        for degree in range(5):
+            for kind in ("constant", "triangular", "quadratic"):
+                try:
+                    spec = make_spec(q, degree, kind)
+                except ValueError:  # degree too high for the window
+                    continue
+                yield pytest.param(design_coefficients(spec), id=f"q{q}-d{degree}-{kind}")
+    asymmetric = custom_weights([1.0, 3.0, 2.0, 5.0, 1.0, 4.0, 2.0])
+    yield pytest.param(design_coefficients(make_spec(7, 3, asymmetric)), id="custom-q7-d3")
+    yield pytest.param(design(11, 2, "quadratic", j=2), id="j2-q11-d2")
+
+
+def _valid(x, coeffs):
+    """smooth(edge="valid") as a list, or [] where no window fills."""
+    if x.size < coeffs.q:
+        return []
+    return smooth(SignalSeries(x), coeffs, edge="valid").values.tolist()
+
+
+def _run(source, coeffs):
+    """(outputs, exception type or None) of draining one stream."""
+    seen = []
+    try:
+        for value in stream_smooth(source, coeffs):
+            seen.append(value)
+    except (ValueError, RuntimeError) as exc:
+        return seen, type(exc)
+    return seen, None
+
+
+class TestArrayStreams:
+    """A 1-D float64 ndarray source runs on smooth's convolution, block by block."""
+
+    BLOCK = 7
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(smoothing, "STREAM_BLOCK", self.BLOCK)
+
+    @pytest.mark.parametrize("coeffs", _stream_filters())
+    def test_equals_batch_valid_bit_for_bit(self, coeffs, tmp_path):
+        q = coeffs.q
+        rng = np.random.default_rng(q)
+        data = rng.standard_normal(2 * (3 * self.BLOCK + q))
+        for n in (0, q - 1, q, q + 1, 3 * self.BLOCK + q):
+            x = data[:n]
+            assert list(stream_smooth(x, coeffs)) == _valid(x, coeffs), n
+        strided = data[::2]
+        assert list(stream_smooth(strided, coeffs)) == _valid(strided, coeffs)
+        path = tmp_path / "record.f64"
+        data.tofile(path)
+        mapped = np.memmap(path, dtype=np.float64, mode="r")
+        assert list(stream_smooth(mapped, coeffs)) == _valid(data, coeffs)
+
+    @pytest.mark.parametrize("where", [0, 2, 9, 39], ids=["first", "first-window",
+                                                          "block-overlap", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_as_the_ring_buffer(self, where, bad):
+        # q = 5 and blocks of 7 outputs: block 0 reads samples 0..10 and
+        # block 1 samples 7..17, so sample 9 lies in both
+        coeffs = design(5, 2, "quadratic")
+        x = np.random.default_rng(3).standard_normal(40)
+        x[where] = bad
+        seen, raised = _run(x, coeffs)
+        pulled, pulled_raised = _run(iter(x), coeffs)
+        assert (len(seen), raised) == (len(pulled), pulled_raised) == (max(where - 4, 0), ValueError)
+        assert seen == _valid(x[:where], coeffs)
+
+    def test_short_record_with_a_nan_still_raises(self):
+        x = np.array([1.0, np.nan, 2.0])
+        assert _run(x, design(5, 0, "constant")) == ([], ValueError)
+
+    def test_one_next_runs_one_convolution(self, monkeypatch):
+        calls = []
+        convolve = np.convolve
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].size)
+            return convolve(*args, **kwargs)
+
+        monkeypatch.setattr(np, "convolve", spy)
+        coeffs = design(11, 2, "triangular")
+        stream = stream_smooth(np.ones(10 * self.BLOCK + 10), coeffs)
+        next(stream)
+        assert calls == [self.BLOCK + 10]
+
+
+class TestStreamOverflow:
+    """An overflowing output is a failed computation on both paths, as in smooth."""
+
+    @pytest.mark.parametrize("as_source", [np.asarray, iter], ids=["array", "iterator"])
+    def test_issue_reproduction(self, as_source):
+        coeffs = design(5, 2, "constant")
+        x = np.tile(1.7e308 * np.sign(coeffs.as_array()), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run(as_source(x), coeffs) == ([], RuntimeError)
+
+    @pytest.mark.parametrize("as_source", [np.asarray, iter, list], ids=["array", "iterator",
+                                                                         "list"])
+    def test_finite_outputs_before_the_overflow_survive(self, as_source):
+        coeffs = design(25, 4, "quadratic")
+        x = np.concatenate((np.linspace(-1.0, 1.0, 40), np.full(30, 1.7e308)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seen, raised = _run(as_source(x), coeffs)
+        assert raised is RuntimeError
+        assert 16 <= len(seen) < 46
+        assert_allclose(seen[:16], _valid(x[:40], coeffs), rtol=0, atol=1e-12)
+        with pytest.raises(RuntimeError, match="smoothing overflowed"):
+            list(stream_smooth(as_source(x), coeffs))
+
+
+class TestOtherSourcesKeepTheRingBuffer:
+    """Everything but a 1-D float64 ndarray is pulled one sample per output."""
+
+    @staticmethod
+    def _window_dots(x, coeffs):
+        taps = coeffs.as_array()
+        return [float(taps @ x[i : i + taps.size]) for i in range(x.size - taps.size + 1)]
+
+    @pytest.mark.parametrize("as_source", [list, lambda x: x.astype(np.float32)],
+                             ids=["list", "float32"])
+    def test_bit_identical_to_window_dot_products(self, as_source, monkeypatch):
+        monkeypatch.setattr(np, "convolve", None)  # this path never convolves
+        coeffs = design(11, 2, "triangular")
+        source = as_source(np.random.default_rng(5).standard_normal(60))
+        x = np.array(source, dtype=np.float64)
+        assert list(stream_smooth(source, coeffs)) == self._window_dots(x, coeffs)
+
+    def test_samples_near_the_float_limit_keep_the_dot_product_bits(self):
+        # past MAX / (2 sum |taps|) each output is checked for overflow
+        coeffs = design(25, 4, "quadratic")
+        x = np.random.default_rng(6).uniform(-1.0, 1.0, 200) * 1e308
+        assert 1e308 * np.abs(coeffs.as_array()).sum() < np.finfo(float).max
+        assert list(stream_smooth(iter(x), coeffs)) == self._window_dots(x, coeffs)
+
+    def test_two_dimensional_array_is_still_a_type_error(self):
+        with pytest.raises(TypeError):
+            list(stream_smooth(np.ones((6, 3)), design(3, 0, "constant")))
