@@ -159,8 +159,8 @@ def stream_smooth(source: Iterable[float], coeffs: FilterCoefficients) -> Iterat
             block = source[start : start + STREAM_BLOCK + q - 1]
             bad = _finite_prefix(block)
             if bad >= q:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    out = np.convolve(block[:bad], taps[::-1], mode="valid")
+                # np.convolve overflows to inf or NaN without a warning.
+                out = np.convolve(block[:bad], taps[::-1], mode="valid")
                 good = _finite_prefix(out)
                 yield from out[:good].tolist()
                 if good < out.size:
