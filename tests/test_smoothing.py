@@ -367,7 +367,7 @@ class TestStreamOverflow:
     """An overflowing output is a failed computation on both paths, as in smooth."""
 
     @pytest.mark.parametrize("as_source", [np.asarray, iter], ids=["array", "iterator"])
-    def test_issue_reproduction(self, as_source):
+    def test_first_window_overflows(self, as_source):
         coeffs = design(5, 2, "constant")
         x = np.tile(1.7e308 * np.sign(coeffs.as_array()), 4)
         with warnings.catch_warnings():
