@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -148,7 +147,10 @@ def stream_smooth(source: Iterable[float], coeffs: FilterCoefficients) -> Iterat
         ValueError: at the first NaN or infinite sample, after the
             outputs of every window that ends before it.
         RuntimeError: at the first output that overflows the float
-            range, after the outputs before it, as `smooth` does.
+            range, after the outputs before it, as `smooth` does.  The
+            two paths sum each window in different orders, so for
+            samples near the float limit they can differ on whether an
+            output overflows: each stops where its own sums do.
     """
     taps = coeffs.as_array()
     q = taps.size
@@ -168,10 +170,6 @@ def stream_smooth(source: Iterable[float], coeffs: FilterCoefficients) -> Iterat
             if bad < block.size:
                 raise ValueError("signal contains NaN or infinite samples")
         return
-    dot = taps.dot
-    # No window of samples within `limit` can overflow, in any order of
-    # summation; past it, each output is checked.
-    limit = np.finfo(np.float64).max / (2.0 * float(np.abs(taps).sum()))
     # Each sample is written at k and k + q, so the last q samples always
     # sit oldest-first in the contiguous slice buf[k : k + q].
     buf = np.empty(2 * q)
@@ -179,13 +177,11 @@ def stream_smooth(source: Iterable[float], coeffs: FilterCoefficients) -> Iterat
     full = False
     for sample in source:
         value = float(sample)
-        if not abs(value) <= limit:
-            if not math.isfinite(value):
-                raise ValueError("signal contains NaN or infinite samples")
-            dot = functools.partial(_checked_dot, taps)
+        if not math.isfinite(value):
+            raise ValueError("signal contains NaN or infinite samples")
         buf[k] = buf[k + q] = value
         k += 1
         if k == q:
             k, full = 0, True
         if full:
-            yield float(dot(buf[k : k + q]))
+            yield _checked_dot(taps, buf[k : k + q])

@@ -374,6 +374,16 @@ class TestStreamOverflow:
             warnings.simplefilter("error")
             assert _run(as_source(x), coeffs) == ([], RuntimeError)
 
+    @staticmethod
+    def _window_sums(x, coeffs, as_source):
+        """Each window's sum as its path adds it, overflows left as inf or NaN."""
+        taps = coeffs.as_array()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if as_source is np.asarray:
+                return np.convolve(x, taps[::-1], mode="valid")
+            windows = np.lib.stride_tricks.sliding_window_view(x, taps.size)
+            return np.array([taps @ w for w in windows])
+
     @pytest.mark.parametrize("as_source", [np.asarray, iter, list], ids=["array", "iterator",
                                                                          "list"])
     def test_finite_outputs_before_the_overflow_survive(self, as_source):
@@ -383,7 +393,11 @@ class TestStreamOverflow:
             warnings.simplefilter("error")
             seen, raised = _run(as_source(x), coeffs)
         assert raised is RuntimeError
-        assert 16 <= len(seen) < 46
+        # each path stops at the first window its own order of summation overflows
+        sums = self._window_sums(x, coeffs, as_source)
+        stop = int(np.isfinite(sums).argmin())
+        assert 16 <= stop < sums.size
+        assert seen == sums[:stop].tolist()
         assert_allclose(seen[:16], _valid(x[:40], coeffs), rtol=0, atol=1e-12)
         with pytest.raises(RuntimeError, match="smoothing overflowed"):
             list(stream_smooth(as_source(x), coeffs))
@@ -407,7 +421,7 @@ class TestOtherSourcesKeepTheRingBuffer:
         assert list(stream_smooth(source, coeffs)) == self._window_dots(x, coeffs)
 
     def test_samples_near_the_float_limit_keep_the_dot_product_bits(self):
-        # past MAX / (2 sum |taps|) each output is checked for overflow
+        # each output is checked for overflow, and keeps the dot product's bits
         coeffs = design(25, 4, "quadratic")
         x = np.random.default_rng(6).uniform(-1.0, 1.0, 200) * 1e308
         assert 1e308 * np.abs(coeffs.as_array()).sum() < np.finfo(float).max

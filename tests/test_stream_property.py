@@ -10,8 +10,10 @@ Samples stay within 1e300 in magnitude, so no window overflows in either
 order.  Nearer the float limit the two orders can disagree on whether a
 partial sum overflows: a constant record of the largest float under the
 (7, 0, "quadratic") taps, all positive, smooths to itself on the array
-path and overflows on the iterator path.  Half of the records carry one NaN or infinite sample instead,
-which both paths must report as the same error after the same outputs.
+path and overflows on the iterator path, so the overflow tests pin each
+path to the window where its own sums overflow.  Half of the records
+carry one NaN or infinite sample instead, which both paths must report as
+the same error after the same outputs.
 """
 
 import numpy as np
