@@ -40,7 +40,6 @@ from .verify import (
     expected_tw_eigenvalues,
     hessian,
     lambda_min_formula,
-    lambda_min_monotonicity,
     lambda_min_observed,
     perturbation_minimality,
     projected_operator_spectrum,
@@ -87,7 +86,6 @@ __all__ = [
     "frequency_response",
     "hessian",
     "lambda_min_formula",
-    "lambda_min_monotonicity",
     "lambda_min_observed",
     "make_spec",
     "metrics_report",

@@ -312,7 +312,7 @@ def empirical_ratios(c, sample_count: int, seed: int) -> EmpiricalRatios:
     taps = _taps(c)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(sample_count)
-    out = np.convolve(noise, taps[::-1], mode="valid")
+    out = np.correlate(noise, taps, mode="valid")
     r_hat = float(out.var() / noise.var())
     s_hat = float(np.diff(out).var() / (2.0 * noise.var()))
     return EmpiricalRatios(r_hat=r_hat, s_hat=s_hat)

@@ -269,14 +269,6 @@ def lambda_min_observed(q: int, n: int) -> float:
     return _lambda_min(projected_operator_spectrum(q, n), n)
 
 
-def lambda_min_monotonicity(q: int) -> bool:
-    """True iff the smallest nonzero eigenvalue strictly grows with n."""
-    if q < 3:
-        raise ValueError(f"monotonicity needs q >= 3, got {q}")
-    values = [lambda_min_observed(q, n) for n in range(1, q)]
-    return all(b > a for a, b in zip(values, values[1:]))
-
-
 def perturbation_minimality(
     q: int,
     n: int,

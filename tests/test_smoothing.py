@@ -28,6 +28,38 @@ class TestSignalSeries:
         with pytest.raises(ValueError, match="abscissa"):
             SignalSeries.from_iterable([1.0, 2.0], abscissa=[0.0])
 
+    def test_constructor_keeps_the_abscissa_as_floats(self):
+        s = SignalSeries([1.0, 2.0, 3.0], abscissa=[0, 1.5, np.float32(3)])
+        assert s.abscissa == (0.0, 1.5, 3.0)
+        assert all(type(a) is float for a in s.abscissa)
+        with pytest.raises(ValueError):
+            SignalSeries([1.0, 2.0, 3.0], abscissa=["a", None, 3])
+        with pytest.raises(TypeError):
+            SignalSeries([1.0, 2.0, 3.0], abscissa=[1.0, None, 3])
+
+    def test_valid_smoothing_trims_the_float_abscissa(self):
+        s = SignalSeries([1.0, 2.0, 3.0, 4.0], abscissa=[0, 1, 2, 3])
+        assert smooth(s, design(3, 0, "constant"), edge="valid").abscissa == (1.0, 2.0)
+
+    def test_masked_samples_are_rejected_by_smooth_and_stream(self):
+        x = np.ma.masked_array([1.0, 2.0, 1e6, 4.0, 5.0], mask=[0, 0, 1, 0, 0])
+        coeffs = design(3, 0, "constant")
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            smooth(SignalSeries.from_iterable(x), coeffs, edge="valid")
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            SignalSeries(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns as it reads a masked element
+            assert _run(x, coeffs) == ([], ValueError)
+
+    def test_a_mask_that_hides_nothing_smooths_the_data(self):
+        data = np.random.default_rng(4).standard_normal(30)
+        x = np.ma.masked_array(data, mask=np.zeros(30, dtype=bool))
+        coeffs = design(11, 2, "quadratic")
+        expected = smooth(SignalSeries(data), coeffs, edge="valid").values.tolist()
+        assert smooth(SignalSeries.from_iterable(x), coeffs, edge="valid").values.tolist() == expected
+        assert list(stream_smooth(x, coeffs)) == expected
+
     def test_values_are_a_read_only_copy(self):
         source = np.array([1.0, 2.0, 3.0])
         s = SignalSeries.from_iterable(source)
@@ -231,7 +263,7 @@ class TestStreaming:
         coeffs = design(7, 2, "quadratic")
         streamed = list(stream_smooth(iter(data), coeffs))
         batch = smooth(SignalSeries.from_iterable(data), coeffs, edge="valid")
-        assert_allclose(streamed, batch.values, atol=1e-12)
+        assert streamed == batch.values.tolist()
 
     def test_rejects_nonfinite_samples(self):
         coeffs = design(3, 0, "constant")
@@ -261,15 +293,13 @@ class TestStreaming:
         next(stream)
         assert len(pulled) == 26
 
-    def test_bit_identical_to_window_dot_products(self):
-        # every output is taps @ (the last q samples, oldest first)
-        rng = np.random.default_rng(8)
-        data = rng.standard_normal(300)
-        for q, d, kind in [(1, 0, "constant"), (11, 2, "triangular"), (51, 4, "quadratic")]:
-            taps = design(q, d, kind).as_array()
-            streamed = list(stream_smooth(iter(data), design(q, d, kind)))
-            expected = [float(taps @ np.array(data[i : i + q])) for i in range(data.size - q + 1)]
-            assert streamed == expected, (q, d, kind)
+    @pytest.mark.parametrize("coeffs", [design(1, 0, "constant"), design(3, 0, "quadratic"),
+                                        design(11, 2, "triangular"), design(51, 4, "quadratic"),
+                                        design(11, 2, "quadratic", j=2)],
+                             ids=["q1", "q3", "q11", "q51", "q11-j2"])
+    def test_bit_identical_to_batch_valid(self, coeffs):
+        data = np.random.default_rng(8).standard_normal(300)
+        assert list(stream_smooth(iter(data), coeffs)) == _valid(data, coeffs)
 
 
 def _stream_filters():
@@ -348,25 +378,35 @@ class TestArrayStreams:
         x = np.array([1.0, np.nan, 2.0])
         assert _run(x, design(5, 0, "constant")) == ([], ValueError)
 
-    def test_one_next_runs_one_convolution(self, monkeypatch):
-        calls = []
-        convolve = np.convolve
-
-        def spy(*args, **kwargs):
-            calls.append(args[0].size)
-            return convolve(*args, **kwargs)
-
-        monkeypatch.setattr(np, "convolve", spy)
+    def test_one_next_runs_one_correlation(self, monkeypatch):
+        calls = _spy_on_correlate(monkeypatch)
         coeffs = design(11, 2, "triangular")
         stream = stream_smooth(np.ones(10 * self.BLOCK + 10), coeffs)
         next(stream)
         assert calls == [self.BLOCK + 10]
 
 
-class TestStreamOverflow:
-    """An overflowing output is a failed computation on both paths, as in smooth."""
+def _spy_on_correlate(monkeypatch):
+    """Record the sample count of every np.correlate call."""
+    calls = []
+    correlate = np.correlate
 
-    @pytest.mark.parametrize("as_source", [np.asarray, iter], ids=["array", "iterator"])
+    def spy(*args, **kwargs):
+        calls.append(args[0].size)
+        return correlate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "correlate", spy)
+    return calls
+
+
+SOURCES = [pytest.param(np.asarray, id="array"), pytest.param(iter, id="iterator"),
+           pytest.param(list, id="list")]
+
+
+class TestStreamOverflow:
+    """Every source stops at smooth's first overflowing output, as a failed computation."""
+
+    @pytest.mark.parametrize("as_source", SOURCES)
     def test_first_window_overflows(self, as_source):
         coeffs = design(5, 2, "constant")
         x = np.tile(1.7e308 * np.sign(coeffs.as_array()), 4)
@@ -374,18 +414,7 @@ class TestStreamOverflow:
             warnings.simplefilter("error")
             assert _run(as_source(x), coeffs) == ([], RuntimeError)
 
-    @staticmethod
-    def _window_sums(x, coeffs, as_source):
-        """Each window's sum as its path adds it, overflows left as inf or NaN."""
-        taps = coeffs.as_array()
-        with np.errstate(over="ignore", invalid="ignore"):
-            if as_source is np.asarray:
-                return np.convolve(x, taps[::-1], mode="valid")
-            windows = np.lib.stride_tricks.sliding_window_view(x, taps.size)
-            return np.array([taps @ w for w in windows])
-
-    @pytest.mark.parametrize("as_source", [np.asarray, iter, list], ids=["array", "iterator",
-                                                                         "list"])
+    @pytest.mark.parametrize("as_source", SOURCES)
     def test_finite_outputs_before_the_overflow_survive(self, as_source):
         coeffs = design(25, 4, "quadratic")
         x = np.concatenate((np.linspace(-1.0, 1.0, 40), np.full(30, 1.7e308)))
@@ -393,39 +422,49 @@ class TestStreamOverflow:
             warnings.simplefilter("error")
             seen, raised = _run(as_source(x), coeffs)
         assert raised is RuntimeError
-        # each path stops at the first window its own order of summation overflows
-        sums = self._window_sums(x, coeffs, as_source)
+        with pytest.raises(RuntimeError, match="smoothing overflowed"):
+            smooth(SignalSeries(x), coeffs, edge="valid")
+        # smooth's outputs up to its first overflowing one, as inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = np.correlate(x, coeffs.as_array(), mode="valid")
         stop = int(np.isfinite(sums).argmin())
         assert 16 <= stop < sums.size
         assert seen == sums[:stop].tolist()
-        assert_allclose(seen[:16], _valid(x[:40], coeffs), rtol=0, atol=1e-12)
+        assert seen[:16] == _valid(x[:40], coeffs)
         with pytest.raises(RuntimeError, match="smoothing overflowed"):
             list(stream_smooth(as_source(x), coeffs))
+
+    @pytest.mark.parametrize("as_source", SOURCES)
+    def test_largest_float_record_smooths_to_itself(self, as_source):
+        # the positive taps sum to one; smooth's sums stay finite
+        coeffs = design(7, 0, "quadratic")
+        x = np.full(20, np.finfo(float).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = smooth(SignalSeries(x), coeffs, edge="valid").values.tolist()
+            assert expected == [np.finfo(float).max] * 14
+            assert _run(as_source(x), coeffs) == (expected, None)
 
 
 class TestOtherSourcesKeepTheRingBuffer:
     """Everything but a 1-D float64 ndarray is pulled one sample per output."""
 
-    @staticmethod
-    def _window_dots(x, coeffs):
-        taps = coeffs.as_array()
-        return [float(taps @ x[i : i + taps.size]) for i in range(x.size - taps.size + 1)]
-
     @pytest.mark.parametrize("as_source", [list, lambda x: x.astype(np.float32)],
                              ids=["list", "float32"])
-    def test_bit_identical_to_window_dot_products(self, as_source, monkeypatch):
-        monkeypatch.setattr(np, "convolve", None)  # this path never convolves
+    def test_bit_identical_to_batch_valid(self, as_source, monkeypatch):
         coeffs = design(11, 2, "triangular")
         source = as_source(np.random.default_rng(5).standard_normal(60))
-        x = np.array(source, dtype=np.float64)
-        assert list(stream_smooth(source, coeffs)) == self._window_dots(x, coeffs)
+        expected = _valid(np.array(source, dtype=np.float64), coeffs)
+        calls = _spy_on_correlate(monkeypatch)
+        assert list(stream_smooth(source, coeffs)) == expected
+        assert calls == [11] * 50  # one correlation per window
 
-    def test_samples_near_the_float_limit_keep_the_dot_product_bits(self):
-        # each output is checked for overflow, and keeps the dot product's bits
+    def test_samples_near_the_float_limit_keep_smooths_bits(self):
+        # each output is checked for overflow, and keeps smooth's bits
         coeffs = design(25, 4, "quadratic")
         x = np.random.default_rng(6).uniform(-1.0, 1.0, 200) * 1e308
         assert 1e308 * np.abs(coeffs.as_array()).sum() < np.finfo(float).max
-        assert list(stream_smooth(iter(x), coeffs)) == self._window_dots(x, coeffs)
+        assert list(stream_smooth(iter(x), coeffs)) == _valid(x, coeffs)
 
     def test_two_dimensional_array_is_still_a_type_error(self):
         with pytest.raises(TypeError):

@@ -1,33 +1,29 @@
-"""Property test: an array source and an iterator over it stream the same filter.
+"""Property test: every stream source gives `smooth`'s bits.
 
-`stream_smooth` convolves a float64 array block by block and pulls any other
-iterable through a ring buffer of dot products.  The two sum each window in
-different orders, so they agree to rounding: per output within
-8 eps (|taps| @ |window|).  They yield the same number of outputs, and when
-one raises, the other raises the same exception type.
+`stream_smooth` filters a float64 array block by block and pulls any other
+iterable through a ring buffer, but both apply the taps with `smooth`'s own
+``np.correlate``.  So an array source and an iterator over it yield the same
+outputs exactly and raise the same exception type after them, and wherever
+`smooth(edge="valid")` returns on the samples before the first non-finite
+one, those outputs are its values.
 
-Samples stay within 1e300 in magnitude, so no window overflows in either
-order.  Nearer the float limit the two orders can disagree on whether a
-partial sum overflows: a constant record of the largest float under the
-(7, 0, "quadratic") taps, all positive, smooths to itself on the array
-path and overflows on the iterator path, so the overflow tests pin each
-path to the window where its own sums overflow.  Half of the records
-carry one NaN or infinite sample instead, which both paths must report as
-the same error after the same outputs.
+Samples come from the whole finite float range plus its two ends, where
+windows overflow; half of the records carry one NaN or infinite sample,
+which every source must report after the outputs of the windows before it.
 """
 
 import numpy as np
 import pytest
 
 from wsavgol.design import design_coefficients, make_spec
-from wsavgol.smoothing import stream_smooth
+from wsavgol.smoothing import SignalSeries, smooth, stream_smooth
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 hnp = pytest.importorskip("hypothesis.extra.numpy")
 
-EPS = np.finfo(np.float64).eps
-SAMPLES = st.floats(min_value=-1e300, max_value=1e300)
+BIG = np.finfo(np.float64).max
+SAMPLES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([BIG, -BIG]))
 
 
 @st.composite
@@ -49,20 +45,25 @@ def _run(source, coeffs):
         for value in stream_smooth(source, coeffs):
             seen.append(value)
     except (ValueError, RuntimeError) as exc:
-        return np.array(seen), type(exc)
-    return np.array(seen), None
+        return seen, type(exc)
+    return seen, None
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(case=cases())
-def test_array_and_iterator_paths_agree(case):
+def test_every_source_gives_smooths_bits(case):
     coeffs, x = case
     from_array, array_raised = _run(x, coeffs)
-    pulled, pulled_raised = _run(iter(x), coeffs)
-    assert array_raised is pulled_raised
-    assert from_array.size == pulled.size
-    if pulled.size:
-        q = coeffs.q
-        windows = np.lib.stride_tricks.sliding_window_view(np.abs(x[: pulled.size + q - 1]), q)
-        bound = 8 * EPS * (windows @ np.abs(coeffs.as_array()))
-        assert (np.abs(from_array - pulled) <= bound).all()
+    assert _run(iter(x), coeffs) == (from_array, array_raised)
+    finite = np.isfinite(x)
+    prefix = x if finite.all() else x[: finite.argmin()]
+    if prefix.size < coeffs.q:
+        assert from_array == []
+        return
+    try:
+        expected = smooth(SignalSeries(prefix), coeffs, edge="valid").values.tolist()
+    except RuntimeError:
+        assert array_raised is RuntimeError
+        return
+    assert from_array == expected
+    assert array_raised is (None if prefix.size == x.size else ValueError)
